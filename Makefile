@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-seeds golden-update staticcheck e2e e2e-cluster serve check bench bench-smoke bench-compare
+.PHONY: build test race vet fuzz-seeds perfbench-test golden-update staticcheck e2e e2e-cluster serve check bench bench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ vet:
 # pangloss-delta-cache and vamp-region-map regressions deterministically.
 fuzz-seeds:
 	$(GO) test -race -run=Fuzz ./internal/trace/ ./internal/service/ ./internal/vm/ ./internal/dtrace/ ./internal/prefetch/pangloss/ ./internal/prefetch/vamp/
+
+# perfbench-test runs the repo benchmark's own tests (ledger, pprof decoder,
+# statistics, workload wiring) under the race detector. perfbench/ is a
+# separate Go module (replace repro => ../), so the root `go test ./...`
+# never reaches it. Standard library only: no network needed.
+perfbench-test:
+	$(GO) -C perfbench test -race ./...
 
 # bench runs the pinned workload×prefetcher microbenchmark suite and writes
 # BENCH_<date>.json (see cmd/pbench -h for comparing against a baseline).
@@ -77,4 +84,4 @@ serve:
 	$(GO) run ./cmd/psimd
 
 # check is the full CI gate.
-check: vet staticcheck build test race fuzz-seeds
+check: vet staticcheck build test race fuzz-seeds perfbench-test

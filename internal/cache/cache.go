@@ -349,7 +349,7 @@ type Cache struct {
 	// partial packs one hashed byte per way into uint64 words (partialWords
 	// words per set), so a probe rejects a whole set with one XOR and a SWAR
 	// zero-byte test and verifies only flagged candidate ways against the full
-	// tag array. Nil on the legacy (non-fused) path, which scans tags.
+	// tag array.
 	partial      []uint64
 	partialWords int
 
@@ -358,8 +358,8 @@ type Cache struct {
 	// unchanged generation proves nothing in the set moved since, so the
 	// memoed way, its recency, and the victim ordering are all still exact.
 	setGen []uint64
-	// memoBlock..memoReady are the line-grain hit memo (fused path, levels
-	// with no OnAccess consumer): a completed demand hit on a non-prefetched
+	// memoBlock..memoReady are the line-grain hit memo (levels with no
+	// OnAccess consumer): a completed demand hit on a non-prefetched
 	// line records (block, set, way, generation), and while the generation
 	// holds, repeat accesses to the same block short-circuit the tag probe,
 	// the replacement update, and the observer dispatch. Skipping the LRU
@@ -373,14 +373,11 @@ type Cache struct {
 	memoGen   uint64
 	memoReady mem.Cycle
 
-	// fused records mem.FusedPath at construction (the toggle is
-	// construction-time, like vm.FlatVM).
-	fused bool
-
 	next mem.Port
 	// nextCache is the devirtualized next level, linked at construction when
-	// the fused path is on and next is itself a *Cache: the miss descent then
-	// runs through direct calls instead of interface dispatch.
+	// next is itself a *Cache: the miss descent core→L1→L2→LLC then runs
+	// through direct calls, and the only interface dispatch left on a miss is
+	// the final hop into DRAM.
 	nextCache *Cache
 	observer  Observer
 	// accObs is the observer iff it consumes OnAccess (see AccessSink);
@@ -404,18 +401,21 @@ func New(cfg Config, next mem.Port) *Cache {
 	if cfg.MSHREntries <= 0 {
 		panic(fmt.Sprintf("cache %s: MSHR entries must be positive", cfg.Name))
 	}
+	partialWords := (cfg.Ways + 7) / 8
 	c := &Cache{
-		cfg:      cfg,
-		lines:    make([]line, cfg.Sets*cfg.Ways),
-		tags:     make([]mem.Addr, cfg.Sets*cfg.Ways),
-		lrus:     make([]uint64, cfg.Sets*cfg.Ways),
-		mshrFree: make([]mem.Cycle, cfg.MSHREntries),
-		mru:      make([]int32, cfg.Sets),
-		setGen:   make([]uint64, cfg.Sets),
-		next:     next,
-		fused:    mem.FusedPath,
-		rng:      uint64(len(cfg.Name))*0x9e3779b97f4a7c15 + 1,
+		cfg:          cfg,
+		lines:        make([]line, cfg.Sets*cfg.Ways),
+		tags:         make([]mem.Addr, cfg.Sets*cfg.Ways),
+		lrus:         make([]uint64, cfg.Sets*cfg.Ways),
+		mshrFree:     make([]mem.Cycle, cfg.MSHREntries),
+		mru:          make([]int32, cfg.Sets),
+		partial:      make([]uint64, cfg.Sets*partialWords),
+		partialWords: partialWords,
+		setGen:       make([]uint64, cfg.Sets),
+		next:         next,
+		rng:          uint64(len(cfg.Name))*0x9e3779b97f4a7c15 + 1,
 	}
+	c.nextCache, _ = next.(*Cache)
 	for i := range c.tags {
 		c.tags[i] = tagInvalid
 	}
@@ -423,11 +423,6 @@ func New(cfg Config, next mem.Port) *Cache {
 	c.memoBlock = tagInvalid
 	if cfg.Sets&(cfg.Sets-1) == 0 {
 		c.setMask = mem.Addr(cfg.Sets - 1)
-	}
-	if c.fused {
-		c.partialWords = (cfg.Ways + 7) / 8
-		c.partial = make([]uint64, cfg.Sets*c.partialWords)
-		c.nextCache, _ = next.(*Cache)
 	}
 	return c
 }
@@ -505,23 +500,14 @@ func (c *Cache) findAt(si int, block mem.Addr) *line {
 
 // findIdx returns the global way index of block in set si, or -1: index form
 // of findAt, for paths that also update the dense replacement mirrors.
+//
+// Probe order: the most-recently-used way first (one load and compare —
+// hit-heavy sets resolve here, and the repeat-hit memo in access() already
+// absorbed the hottest repeats before this point), then the register-only
+// negative memo, then the packed partial array — an eighth of the tag array's
+// footprint — so on a miss the full tags are never scanned, only touched to
+// verify a candidate.
 func (c *Cache) findIdx(si int, block mem.Addr) int {
-	if c.partial != nil {
-		// Fused probe order: the most-recently-used way first (one load and
-		// compare — hit-heavy sets resolve here, and the repeat-hit memo in
-		// access() already absorbed the hottest repeats before this point),
-		// then the register-only negative memo, then the packed partial
-		// array — an eighth of the tag array's footprint — so on a miss the
-		// full tags are never scanned, only touched to verify a candidate.
-		base := si * c.cfg.Ways
-		if m := base + int(c.mru[si]); c.tags[m] == block {
-			return m
-		}
-		if block == c.lastMissBlock && c.tick == c.lastMissTick {
-			return -1
-		}
-		return c.findIdxPacked(si, base, block)
-	}
 	base := si * c.cfg.Ways
 	if m := base + int(c.mru[si]); c.tags[m] == block {
 		return m
@@ -529,14 +515,7 @@ func (c *Cache) findIdx(si int, block mem.Addr) int {
 	if block == c.lastMissBlock && c.tick == c.lastMissTick {
 		return -1
 	}
-	for i, t := range c.tags[base : base+c.cfg.Ways] {
-		if t == block {
-			c.mru[si] = int32(i)
-			return base + i
-		}
-	}
-	c.lastMissBlock, c.lastMissTick = block, c.tick
-	return -1
+	return c.findIdxPacked(si, base, block)
 }
 
 // SWAR constants for the packed partial-tag probe: lane replication and the
@@ -554,10 +533,10 @@ func partialOf(block mem.Addr) uint64 {
 	return uint64(block) * 0x9e3779b97f4a7c15 >> 56
 }
 
-// findIdxPacked is the fused-path set probe: XOR the set's packed partial
-// tags against the replicated probe byte, flag zero bytes with the SWAR
-// detector (no false negatives; rare false positives from the borrow chain),
-// and verify flagged ways against the full tag array. Tags are unique within
+// findIdxPacked is the packed partial-tag set probe: XOR the set's packed
+// partial tags against the replicated probe byte, flag zero bytes with the
+// SWAR detector (no false negatives; rare false positives from the borrow
+// chain), and verify flagged ways against the full tag array. Tags are unique within
 // a set, so at most one verify succeeds and probe order cannot change the
 // result.
 func (c *Cache) findIdxPacked(si, base int, block mem.Addr) int {
@@ -606,10 +585,10 @@ func (c *Cache) InFlight(block mem.Addr, at mem.Cycle) bool {
 // horizon and the earliest possible all-free time — the prefetch's only
 // effect is the drop counter, so the caller can skip building the request
 // and walking the access path. Returns false (caller issues normally) when
-// the drop is not provable, the fused path is off, or a lifecycle tracer is
-// attached (the drop event needs the full request).
+// the drop is not provable or a lifecycle tracer is attached (the drop event
+// needs the full request).
 func (c *Cache) TryDropPrefetch(at mem.Cycle) bool {
-	if !c.fused || c.life != nil {
+	if c.life != nil {
 		return false
 	}
 	lookupDone := at + c.cfg.Latency
@@ -703,7 +682,7 @@ func (c *Cache) touchAt(si, gi int) {
 }
 
 // forward sends a request to the next level: through the devirtualized
-// concrete chain when the fused path linked one, the Port interface
+// concrete chain when the next level is a cache, the Port interface
 // otherwise. Callers have already checked next != nil.
 func (c *Cache) forward(req *mem.Request, at mem.Cycle) mem.Cycle {
 	if c.nextCache != nil {
@@ -748,9 +727,7 @@ func (c *Cache) fill(si int, block mem.Addr, readyAt, now mem.Cycle, req *mem.Re
 	c.lrus[si*c.cfg.Ways+vi] = c.tick
 	c.mru[si] = int32(vi)
 	c.setGen[si]++
-	if c.partial != nil {
-		c.setPartial(si, vi, partialOf(block))
-	}
+	c.setPartial(si, vi, partialOf(block))
 	*v = line{
 		block:      block,
 		valid:      true,
@@ -786,10 +763,9 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 	// Line-hit memo: a repeat access to the last demand-hit block, in a set
 	// nothing has touched since (generation match) and past the line's fill
 	// completion, resolves without the tag probe, the replacement update, or
-	// the observer dispatch. Only armed on the fused path at levels with no
-	// OnAccess consumer (every demand access there must otherwise reach the
-	// prefetch engine) — see the memo field docs for why skipping the LRU
-	// bump is exact.
+	// the observer dispatch. Only armed at levels with no OnAccess consumer
+	// (every demand access there must otherwise reach the prefetch engine) —
+	// see the memo field docs for why skipping the LRU bump is exact.
 	if block == c.memoBlock && c.memoGen == c.setGen[c.memoSet] &&
 		at >= c.memoReady && c.accObs == nil {
 		switch req.Type {
@@ -879,7 +855,7 @@ func (c *Cache) access(req *mem.Request, at mem.Cycle, fillHere bool) mem.Cycle 
 					})
 				}
 			}
-			if c.fused && c.accObs == nil && !merged {
+			if c.accObs == nil && !merged {
 				// Arm the memo for repeat hits: the line is valid, ready, and
 				// (after the use accounting above) no longer prefetched.
 				c.memoBlock, c.memoSet, c.memoGI = block, si, gi

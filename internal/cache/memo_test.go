@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -9,71 +10,117 @@ import (
 )
 
 // memoPair constructs two identically configured caches over independent
-// recording next levels: one built with the fused path (line-hit memo and
-// packed partial-tag probe armed) and one legacy. mem.FusedPath is restored
-// before returning, so the pair can be built inside property iterations.
-func memoPair(sets, ways int) (fused, legacy *Cache, fn, ln *fixedPort) {
-	saved := mem.FusedPath
-	defer func() { mem.FusedPath = saved }()
-	fn, ln = &fixedPort{latency: 40}, &fixedPort{latency: 40}
+// recording next levels. The first arms the line-hit memo (no observer); the
+// second attaches a NopObserver, which consumes OnAccess and so keeps the memo
+// disarmed (TestMemoNotArmedWithAccessObserver), sending every access through
+// the full probe and replacement path.
+func memoPair(sets, ways int) (armed, disarmed *Cache, an, dn *fixedPort) {
+	an, dn = &fixedPort{latency: 40}, &fixedPort{latency: 40}
 	cfg := Config{Name: "c", Sets: sets, Ways: ways, Latency: 4, MSHREntries: 4}
-	mem.FusedPath = true
-	fused = New(cfg, fn)
-	mem.FusedPath = false
-	legacy = New(cfg, ln)
+	armed, disarmed = New(cfg, an), New(cfg, dn)
+	disarmed.SetObserver(NopObserver{})
 	return
 }
 
+// checkFastPathInvariants verifies the state the cache's fast paths rely on
+// for exactness, after an access to block: every valid way's packed partial
+// byte matches its tag, findIdx agrees with a linear scan of the tag array,
+// and a live memo points at a way holding the memoed block that is its set's
+// unique most-recently-used way.
+func checkFastPathInvariants(c *Cache, block mem.Addr) error {
+	ways := c.cfg.Ways
+	for gi, tag := range c.tags {
+		if tag == tagInvalid {
+			continue
+		}
+		si, way := gi/ways, gi%ways
+		got := c.partial[si*c.partialWords+way>>3] >> (uint(way&7) * 8) & 0xFF
+		if got != partialOf(tag) {
+			return fmt.Errorf("set %d way %d: partial byte %#x, want %#x for tag %#x", si, way, got, partialOf(tag), tag)
+		}
+	}
+	si := c.SetIndex(block)
+	want := -1
+	for i, tag := range c.tags[si*ways : (si+1)*ways] {
+		if tag == block {
+			want = si*ways + i
+		}
+	}
+	if got := c.findIdx(si, block); got != want {
+		return fmt.Errorf("findIdx(%#x) = %d, linear scan = %d", block, got, want)
+	}
+	if c.memoBlock != tagInvalid && c.memoGen == c.setGen[c.memoSet] {
+		if c.memoGI/ways != c.memoSet || c.tags[c.memoGI] != c.memoBlock {
+			return fmt.Errorf("live memo for %#x points at way %d holding %#x", c.memoBlock, c.memoGI, c.tags[c.memoGI])
+		}
+		base := c.memoSet * ways
+		for i, l := range c.lrus[base : base+ways] {
+			if base+i != c.memoGI && l >= c.lrus[c.memoGI] {
+				return fmt.Errorf("live memo way %d (lru %d) is not its set's unique MRU: way %d has lru %d",
+					c.memoGI, c.lrus[c.memoGI], base+i, l)
+			}
+		}
+	}
+	return nil
+}
+
 // TestMemoDifferentialProperty drives random mixed-type request sequences —
-// heavy set conflict (2 sets × 2 ways over 32 blocks), repeated same-cycle
-// accesses, stores, prefetches and writebacks — through a fused cache and a
-// legacy cache in lockstep. Completion cycles, the full stats block, and the
-// request stream reaching the next level must be identical at every step: the
-// memo, the packed probe and the miss-memoization are optimisations, never
-// semantic changes.
+// heavy set conflict (2 sets × 2 ways, and one 10-way set spanning two packed
+// partial words, over 32 blocks), repeated same-cycle accesses, stores,
+// prefetches and writebacks — through a memo-armed cache and a memo-disarmed
+// cache in lockstep. Completion cycles, the full stats block, and the request
+// stream reaching the next level must be identical at every step, and both
+// caches must hold the fast-path invariants after every step: the memo, the
+// packed probe and the miss-memoization are optimisations, never semantic
+// changes.
 func TestMemoDifferentialProperty(t *testing.T) {
 	types := [4]mem.AccessType{mem.Load, mem.Store, mem.Prefetch, mem.Writeback}
-	f := func(seq []uint16) bool {
-		fused, legacy, fn, ln := memoPair(2, 2)
-		at := mem.Cycle(0)
-		for _, raw := range seq {
-			addr := mem.Addr(raw&0x1F) << mem.BlockBits
-			typ := types[(raw>>5)&3]
-			// Advance time by 0..31 cycles: zero keeps repeat accesses on
-			// the same cycle, small steps land inside in-flight fills.
-			at += mem.Cycle(raw >> 11)
-			df := fused.Access(&mem.Request{PAddr: addr, Type: typ}, at)
-			dl := legacy.Access(&mem.Request{PAddr: addr, Type: typ}, at)
-			if df != dl {
-				t.Logf("addr=%#x type=%v at=%d: fused done %d, legacy done %d",
-					addr, typ, at, df, dl)
+	for _, geom := range [][2]int{{2, 2}, {1, 10}} {
+		f := func(seq []uint16) bool {
+			armed, disarmed, an, dn := memoPair(geom[0], geom[1])
+			at := mem.Cycle(0)
+			for _, raw := range seq {
+				addr := mem.Addr(raw&0x1F) << mem.BlockBits
+				typ := types[(raw>>5)&3]
+				// Advance time by 0..31 cycles: zero keeps repeat accesses on
+				// the same cycle, small steps land inside in-flight fills.
+				at += mem.Cycle(raw >> 11)
+				da := armed.Access(&mem.Request{PAddr: addr, Type: typ}, at)
+				dd := disarmed.Access(&mem.Request{PAddr: addr, Type: typ}, at)
+				if da != dd {
+					t.Logf("addr=%#x type=%v at=%d: armed done %d, disarmed done %d",
+						addr, typ, at, da, dd)
+					return false
+				}
+				if armed.Stats != disarmed.Stats {
+					t.Logf("stats diverged after addr=%#x type=%v at=%d:\narmed    %+v\ndisarmed %+v",
+						addr, typ, at, armed.Stats, disarmed.Stats)
+					return false
+				}
+				for _, c := range []*Cache{armed, disarmed} {
+					if err := checkFastPathInvariants(c, addr); err != nil {
+						t.Logf("after addr=%#x type=%v at=%d: %v", addr, typ, at, err)
+						return false
+					}
+				}
+			}
+			if !reflect.DeepEqual(an.reqs, dn.reqs) {
+				t.Logf("next-level traffic diverged:\narmed    %d reqs\ndisarmed %d reqs",
+					len(an.reqs), len(dn.reqs))
 				return false
 			}
-			if fused.Stats != legacy.Stats {
-				t.Logf("stats diverged after addr=%#x type=%v at=%d:\nfused  %+v\nlegacy %+v",
-					addr, typ, at, fused.Stats, legacy.Stats)
-				return false
-			}
+			return true
 		}
-		if !reflect.DeepEqual(fn.reqs, ln.reqs) {
-			t.Logf("next-level traffic diverged:\nfused  %d reqs\nlegacy %d reqs",
-				len(fn.reqs), len(ln.reqs))
-			return false
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%d sets × %d ways: %v", geom[0], geom[1], err)
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 
-// memoCache builds a single-set fused cache so every access conflicts, with a
-// slow next level so fills and misses are clearly distinguishable.
+// memoCache builds a single-set cache so every access conflicts, with a slow
+// next level so fills and misses are clearly distinguishable.
 func memoCache(t *testing.T, ways int) (*Cache, *fixedPort) {
 	t.Helper()
-	saved := mem.FusedPath
-	mem.FusedPath = true
-	t.Cleanup(func() { mem.FusedPath = saved })
 	next := &fixedPort{latency: 100}
 	c := New(Config{Name: "c", Sets: 1, Ways: ways, Latency: 10, MSHREntries: 8}, next)
 	return c, next

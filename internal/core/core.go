@@ -130,9 +130,10 @@ const (
 type Oracle func(mem.Addr) mem.PageSize
 
 // Translator resolves a virtual candidate address to its physical address
-// and residing page size. Implementations must be side-effect-free beyond a
-// TLB probe and must never walk the page table: ok is false when the
-// translation is not TLB-resident, and the engine then drops the candidate.
+// and residing page size. Implementations probe the TLBs with hit/miss
+// statistics restored (a hit refreshes recency) and must never walk the page
+// table: ok is false when the translation is not TLB-resident, and the engine
+// then drops the candidate.
 // The assembled system wires vm.MMU.ResidentTranslate; a nil translator
 // restricts virtual candidates to the trigger's own 4KB page, whose frame is
 // known from the trigger.
@@ -421,7 +422,8 @@ func (e *Engine) operate(p prefetch.Prefetcher, id uint8, ctx prefetch.Context, 
 	// prefetcher (ppf's perceptron, spp's confidence tables), and the next
 	// candidate in the same lookahead burst must be classified against those
 	// updated weights. Deferring the drain reorders that feedback loop and
-	// changes simulation results (caught by TestFusedPathEquivalence).
+	// changes simulation results (ppf proposal counts move; pinned by
+	// testdata/golden_matrix.txt in internal/experiments).
 	p.Operate(ctx, e.issueFn)
 }
 
@@ -591,7 +593,7 @@ type LLCFeedback struct {
 
 // WantsOnAccess implements cache.AccessSink: the embedded no-op OnAccess
 // consumes nothing, so the LLC can skip per-access dispatch entirely (and
-// arm its line-hit memo on the fused path).
+// arm its line-hit memo).
 func (f *LLCFeedback) WantsOnAccess() bool { return false }
 
 // OnPrefetchUseful implements cache.Observer. LLC outcomes train the

@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
 // TestSteadyStateZeroAllocs drives a fully assembled system past warmup and
 // asserts the per-access hot path — demand descent, TLB/page walks, prefetch
-// engine, MSHRs, DRAM — allocates nothing in steady state, under both the
-// fused descent and the legacy port-dispatch chain. Construction and
+// engine, MSHRs, DRAM — allocates nothing in steady state. Construction and
 // first-touch page mapping amortize to zero; any per-access allocation (a
 // leaked request, a growing table, a closure in the issue path) shows up as a
 // nonzero rate.
@@ -23,32 +21,28 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"milc", PrefSpec{Base: "spp", Variant: core.PSA2MB}},
 		{"mcf", PrefSpec{Base: "ppf", Variant: core.PSA}},
 	}
-	for _, fused := range []bool{true, false} {
-		mem.FusedPath = fused
-		for _, row := range rows {
-			w, err := trace.ByName(row.workload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sys, err := newSystem(DefaultConfig(), row.spec, []trace.Workload{w}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := sys.nodes[0]
-			reader := n.reader
-			n.cpu.Run(reader, 150_000) // warm tables, TLBs, and touched pages
-			const chunk = 10_000
-			avg := testing.AllocsPerRun(20, func() {
-				n.cpu.Run(reader, chunk)
-			})
-			// A fresh page still faults in occasionally after warmup (the
-			// trace keeps expanding its footprint); allow a whisper of
-			// mapping growth but nothing per-access.
-			if perInstr := avg / chunk; perInstr > 0.0005 {
-				t.Errorf("fused=%v %s/%s: steady state allocates %.1f allocs per %d instructions",
-					fused, row.workload, row.spec.String(), avg, chunk)
-			}
+	for _, row := range rows {
+		w, err := trace.ByName(row.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := newSystem(DefaultConfig(), row.spec, []trace.Workload{w}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sys.nodes[0]
+		reader := n.reader
+		n.cpu.Run(reader, 150_000) // warm tables, TLBs, and touched pages
+		const chunk = 10_000
+		avg := testing.AllocsPerRun(20, func() {
+			n.cpu.Run(reader, chunk)
+		})
+		// A fresh page still faults in occasionally after warmup (the
+		// trace keeps expanding its footprint); allow a whisper of
+		// mapping growth but nothing per-access.
+		if perInstr := avg / chunk; perInstr > 0.0005 {
+			t.Errorf("%s/%s: steady state allocates %.1f allocs per %d instructions",
+				row.workload, row.spec.String(), avg, chunk)
 		}
 	}
-	mem.FusedPath = true
 }

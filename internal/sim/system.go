@@ -21,11 +21,6 @@ type coreNode struct {
 	l1d       *cache.Cache
 	l2        *cache.Cache
 	llc       *cache.Cache
-	// desc is the fused descent over this core's private levels and the
-	// shared LLC: the single entry point demand accesses and page-walk
-	// references take into the hierarchy (direct calls all the way to DRAM
-	// when mem.FusedPath linked the chain).
-	desc *cache.Descent
 	engine    *core.Engine
 	cpu       *cpu.Core
 	reader    trace.Reader
@@ -108,10 +103,9 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 		// Section IV-A): the code address space never uses large pages.
 		n.codeSpace = vm.NewAddressSpace(s.alloc, vm.FractionTHP{Frac: 0})
 		n.llc = s.llc
-		n.desc = cache.NewDescent(n.l1d, n.l2, s.llc)
-		// The walker's references descend through the same fused chain as
-		// demand accesses (they enter at the L1D, exactly as before).
-		n.mmu = vm.NewMMU(n.space, cfg.MMU, i, n.desc)
+		// The walker's references enter the hierarchy at the L1D, exactly
+		// like demand accesses.
+		n.mmu = vm.NewMMU(n.space, cfg.MMU, i, n.l1d)
 		n.mmu.SetWalkArena(walkArena)
 		n.reader = w.New(seed + uint64(i)*997)
 
@@ -141,9 +135,10 @@ func newSystem(cfg Config, spec PrefSpec, workloads []trace.Workload, seed uint6
 	return s, nil
 }
 
-// residentTranslator adapts an MMU's statistics-neutral TLB probe to the
-// engine's Translator hook: virtual candidates resolve only against
-// TLB-resident pages, so prefetch speculation never walks the page table.
+// residentTranslator adapts an MMU's residency probe (TLB statistics
+// restored) to the engine's Translator hook: virtual candidates resolve only
+// against TLB-resident pages, so prefetch speculation never walks the page
+// table.
 func residentTranslator(m *vm.MMU) core.Translator {
 	return func(v mem.Addr) (mem.Addr, mem.PageSize, bool) {
 		tr, ok := m.ResidentTranslate(v)
@@ -183,7 +178,7 @@ func (n *coreNode) Access(pc, vaddr mem.Addr, write bool, at mem.Cycle) mem.Cycl
 		PageSize:      tr.Size,
 		PageSizeKnown: true,
 	}
-	done := n.desc.Access(req, ready)
+	done := n.l1d.Access(req, ready)
 	n.l1Prefetch(pc, vaddr, at, tr)
 	return done
 }

@@ -117,8 +117,7 @@ type chaseReader struct {
 // chasePerms memoizes the Sattolo cycle per (seed, nodes): building one over a
 // million nodes costs more than a whole warmup chunk, every simulation of a
 // given workload rebuilds the identical permutation, and readers only ever
-// read it — so batches (and the flat-vs-radix differential running simulations
-// in parallel) can share one slice. Bounded to keep long-running daemons flat.
+// read it — so batches running simulations in parallel can share one slice. Bounded to keep long-running daemons flat.
 var chasePerms struct {
 	sync.Mutex
 	m map[[2]uint64][]int32

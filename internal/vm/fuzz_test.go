@@ -60,22 +60,16 @@ func FuzzFlatLeafWord(f *testing.F) {
 }
 
 // FuzzFlatTableOps interprets fuzz bytes as a mapping script and applies it to
-// a flat and a radix page table in lockstep: identical frames in, identical
-// walks out. This is the randomized radix-vs-flat differential in fuzzable
-// form — new table-corruption bugs become crashes or divergences.
+// the flat page table and the radix reference in lockstep: identical frames
+// in, identical walks out. This is the randomized radix-vs-flat differential
+// in fuzzable form — new table-corruption bugs become crashes or divergences.
 func FuzzFlatTableOps(f *testing.F) {
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09})
 	f.Add([]byte("\x00\x00\x00\x10\x20\x30\x40\x50\x61\x72\x83\x94\xa5\xb6"))
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0x80, 0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		saved := FlatVM
-		defer func() { FlatVM = saved }()
-		fa, ra := NewAllocator(8<<30, 5), NewAllocator(8<<30, 5)
-		FlatVM = true
-		flat := NewPageTable(fa)
-		FlatVM = false
-		radix := NewPageTable(ra)
+		flat, radix, fa, ra := mkPageTables(5)
 
 		has4K := map[mem.Addr]bool{}
 		var mapped []mem.Addr
@@ -114,8 +108,8 @@ func FuzzFlatTableOps(f *testing.F) {
 				}
 			}
 		}
-		if flat.Pages() != radix.Pages() {
-			t.Fatalf("page counts diverged: %d vs %d", flat.Pages(), radix.Pages())
+		if flat.Pages() != radix.pages {
+			t.Fatalf("page counts diverged: %d vs %d", flat.Pages(), radix.pages)
 		}
 	})
 }

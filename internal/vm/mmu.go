@@ -4,19 +4,7 @@ import (
 	"repro/internal/mem"
 )
 
-// pwcEntry caches an interior page-table entry (PML4/PDPT/PD level), keyed by
-// the virtual-address prefix it translates, in the legacy struct layout kept
-// for the flat-vs-radix differential (see FlatVM). These are the MMU caches /
-// page structure caches of Section II-B that let walks skip upper-level
-// references.
-type pwcEntry struct {
-	level int
-	key   mem.Addr
-	valid bool
-	lru   uint64
-}
-
-// Flat walk-cache tag word: key<<4 | level<<2 | 1, with 0 as the invalid
+// Walk-cache tag word: key<<4 | level<<2 | 1, with 0 as the invalid
 // sentinel. The level occupies two bits (only interior levels 0..2 are
 // cached), and the key is a virtual-address prefix of at most 36 bits, so the
 // packed word cannot collide.
@@ -25,12 +13,12 @@ func pwcTag(level int, key mem.Addr) uint64 {
 }
 
 // WalkCache is a small fully-associative MMU cache over interior page-table
-// entries. Storage is chosen at construction: dense parallel tag/LRU arrays
-// when FlatVM is set, the legacy entry structs otherwise.
+// entries (PML4/PDPT/PD level), keyed by the virtual-address prefix each
+// translates: the MMU caches / page structure caches of Section II-B that let
+// walks skip upper-level references.
 type WalkCache struct {
-	tags    []uint64 // flat layout: tag words, 0 = invalid
+	tags    []uint64 // tag words, 0 = invalid
 	lrus    []uint64
-	entries []pwcEntry // legacy layout; nil when flat
 	tick    uint64
 	Hits    uint64
 	Lookups uint64
@@ -38,30 +26,16 @@ type WalkCache struct {
 
 // NewWalkCache creates a walk cache with n entries.
 func NewWalkCache(n int) *WalkCache {
-	if FlatVM {
-		return &WalkCache{tags: make([]uint64, n), lrus: make([]uint64, n)}
-	}
-	return &WalkCache{entries: make([]pwcEntry, n)}
+	return &WalkCache{tags: make([]uint64, n), lrus: make([]uint64, n)}
 }
 
 func (w *WalkCache) contains(level int, key mem.Addr) bool {
 	w.Lookups++
 	w.tick++
-	if w.tags != nil {
-		tag := pwcTag(level, key)
-		for i, tg := range w.tags {
-			if tg == tag {
-				w.lrus[i] = w.tick
-				w.Hits++
-				return true
-			}
-		}
-		return false
-	}
-	for i := range w.entries {
-		e := &w.entries[i]
-		if e.valid && e.level == level && e.key == key {
-			e.lru = w.tick
+	tag := pwcTag(level, key)
+	for i, tg := range w.tags {
+		if tg == tag {
+			w.lrus[i] = w.tick
 			w.Hits++
 			return true
 		}
@@ -71,32 +45,18 @@ func (w *WalkCache) contains(level int, key mem.Addr) bool {
 
 func (w *WalkCache) insert(level int, key mem.Addr) {
 	w.tick++
-	if w.tags != nil {
-		victim := 0
-		for i, tg := range w.tags {
-			if tg == 0 {
-				victim = i
-				break
-			}
-			if w.lrus[i] < w.lrus[victim] {
-				victim = i
-			}
-		}
-		w.tags[victim] = pwcTag(level, key)
-		w.lrus[victim] = w.tick
-		return
-	}
 	victim := 0
-	for i := range w.entries {
-		if !w.entries[i].valid {
+	for i, tg := range w.tags {
+		if tg == 0 {
 			victim = i
 			break
 		}
-		if w.entries[i].lru < w.entries[victim].lru {
+		if w.lrus[i] < w.lrus[victim] {
 			victim = i
 		}
 	}
-	w.entries[victim] = pwcEntry{level: level, key: key, valid: true, lru: w.tick}
+	w.tags[victim] = pwcTag(level, key)
+	w.lrus[victim] = w.tick
 }
 
 // MMUConfig sets the TLB hierarchy geometry and latencies (Table I).
@@ -277,19 +237,20 @@ func (m *MMU) prefetchTranslation(v mem.Addr, at mem.Cycle) {
 }
 
 // Resident reports whether the translation for v is present in either TLB
-// level, without perturbing hit statistics or LRU state beyond a probe. It is
-// used by the IPCP++ variant, which crosses 4KB boundaries only when the
-// target page's translation is TLB-resident.
+// level, probing like ResidentTranslate (hit/miss statistics restored; a hit
+// refreshes recency). It is used by the IPCP++ variant, which crosses 4KB
+// boundaries only when the target page's translation is TLB-resident.
 func (m *MMU) Resident(v mem.Addr) bool {
 	_, ok := m.ResidentTranslate(v)
 	return ok
 }
 
 // ResidentTranslate returns the translation for v when it is present in
-// either TLB level, probing without perturbing hit statistics. It backs
-// TLB-gated virtual-address prefetching (the engine's Translator hook): a
-// resident translation costs only the probe, and a non-resident one must
-// never trigger a speculative page walk.
+// either TLB level: hit/miss statistics restored; a hit refreshes recency, so
+// a probed entry outlives its unprobed set-mates. It backs TLB-gated
+// virtual-address prefetching (the engine's Translator hook): a resident
+// translation costs only the probe, and a non-resident one must never trigger
+// a speculative page walk.
 func (m *MMU) ResidentTranslate(v mem.Addr) (Translation, bool) {
 	h1, mi1, by1 := m.l1.Hits, m.l1.Misses, m.l1.HitsBy
 	h2, mi2, by2 := m.l2.Hits, m.l2.Misses, m.l2.HitsBy

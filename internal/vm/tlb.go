@@ -4,23 +4,10 @@ import (
 	"repro/internal/mem"
 )
 
-// tlbEntry caches one translation in the legacy struct-per-way layout, kept
-// for the flat-vs-radix differential (see FlatVM). Entries for 2MB pages
-// cover the whole 2MB region, increasing TLB reach exactly as in real
-// hardware.
-type tlbEntry struct {
-	vpn   mem.Addr // page number for the entry's own size
-	frame mem.Addr // physical page base
-	size  mem.PageSize
-	valid bool
-	lru   uint64
-}
-
-// Flat TLB tag word: vpn<<3 | size<<1 | 1, with 0 as the invalid sentinel
-// (the valid bit makes the vpn-0 4KB tag distinct from empty). One uint64
-// compare replaces the legacy valid/size/vpn triple check, and the probe loop
-// scans a dense tag array instead of striding over 40-byte entry structs —
-// the same treatment the cache's tag mirror got in the allocation-removal PR.
+// TLB tag word: vpn<<3 | size<<1 | 1, with 0 as the invalid sentinel (the
+// valid bit makes the vpn-0 4KB tag distinct from empty). One uint64 compare
+// checks validity, page size and page number at once, and the probe loop
+// scans a dense tag array.
 const (
 	tlbTagValid     = 1 << 0
 	tlbTagSizeShift = 1
@@ -33,9 +20,8 @@ func tlbTag(vpn mem.Addr, size mem.PageSize) uint64 {
 
 // TLB is a set-associative translation lookaside buffer supporting 4KB, 2MB
 // and 1GB entries in a unified array. Lookups probe the 4KB index first, then
-// 2MB, then 1GB (a multi-probe unified design). The way storage is chosen at
-// construction: dense parallel tag/frame/LRU arrays when FlatVM is set, the
-// legacy entry structs otherwise.
+// 2MB, then 1GB (a multi-probe unified design). Entries for 2MB and 1GB pages
+// cover the whole region, increasing TLB reach exactly as in real hardware.
 type TLB struct {
 	sets, ways int
 	// setMask is sets-1 when sets is a power of two (the default geometries
@@ -44,13 +30,11 @@ type TLB struct {
 	setMask mem.Addr
 	tick    uint64
 
-	// Dense parallel-array layout (FlatVM): tags[s*ways+w] is the tag word of
-	// way w in set s (0 = invalid), with frames and lrus indexed identically.
+	// tags[s*ways+w] is the tag word of way w in set s (0 = invalid), with
+	// frames and lrus indexed identically.
 	tags   []uint64
 	frames []mem.Addr
 	lrus   []uint64
-
-	entries []tlbEntry // legacy sets × ways layout; nil when flat
 
 	// present[s] records whether an entry of page size s was ever inserted:
 	// Lookup skips probe passes for sizes the workload never maps (pure 4KB
@@ -71,15 +55,11 @@ func NewTLB(entries, ways int) *TLB {
 		panic("vm: TLB entries not divisible by ways")
 	}
 	t := &TLB{
-		sets: entries / ways,
-		ways: ways,
-	}
-	if FlatVM {
-		t.tags = make([]uint64, entries)
-		t.frames = make([]mem.Addr, entries)
-		t.lrus = make([]uint64, entries)
-	} else {
-		t.entries = make([]tlbEntry, entries)
+		sets:   entries / ways,
+		ways:   ways,
+		tags:   make([]uint64, entries),
+		frames: make([]mem.Addr, entries),
+		lrus:   make([]uint64, entries),
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.setMask = mem.Addr(t.sets - 1)
@@ -87,8 +67,7 @@ func NewTLB(entries, ways int) *TLB {
 	return t
 }
 
-// setBase returns the index of way 0 of vpn's set in the parallel arrays (or
-// the legacy entries slice — the layouts index identically).
+// setBase returns the index of way 0 of vpn's set in the parallel arrays.
 func (t *TLB) setBase(vpn mem.Addr) int {
 	if t.setMask != 0 {
 		return int(vpn&t.setMask) * t.ways
@@ -100,46 +79,25 @@ func (t *TLB) setBase(vpn mem.Addr) int {
 	return s * t.ways
 }
 
-// Lookup probes the TLB for v. On a hit it returns the translation.
+// Lookup probes the TLB for v. On a hit it returns the translation and
+// refreshes the hit way's recency.
 func (t *TLB) Lookup(v mem.Addr) (Translation, bool) {
 	t.tick++
-	if t.tags != nil {
-		for _, size := range [3]mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G} {
-			if !t.present[size] {
-				continue
-			}
-			vpn := mem.PageNumber(v, size)
-			base := t.setBase(vpn)
-			tag := tlbTag(vpn, size)
-			ways := t.tags[base : base+t.ways]
-			for i, tg := range ways {
-				if tg == tag {
-					t.lrus[base+i] = t.tick
-					t.Hits++
-					t.HitsBy[size]++
-					off := v & (size.Bytes() - 1)
-					return Translation{PAddr: t.frames[base+i] + off, Size: size}, true
-				}
-			}
-		}
-		t.Misses++
-		return Translation{}, false
-	}
 	for _, size := range [3]mem.PageSize{mem.Page4K, mem.Page2M, mem.Page1G} {
 		if !t.present[size] {
 			continue
 		}
 		vpn := mem.PageNumber(v, size)
 		base := t.setBase(vpn)
-		set := t.entries[base : base+t.ways]
-		for i := range set {
-			e := &set[i]
-			if e.valid && e.size == size && e.vpn == vpn {
-				e.lru = t.tick
+		tag := tlbTag(vpn, size)
+		ways := t.tags[base : base+t.ways]
+		for i, tg := range ways {
+			if tg == tag {
+				t.lrus[base+i] = t.tick
 				t.Hits++
 				t.HitsBy[size]++
 				off := v & (size.Bytes() - 1)
-				return Translation{PAddr: e.frame + off, Size: size}, true
+				return Translation{PAddr: t.frames[base+i] + off, Size: size}, true
 			}
 		}
 	}
@@ -147,67 +105,38 @@ func (t *TLB) Lookup(v mem.Addr) (Translation, bool) {
 	return Translation{}, false
 }
 
-// Insert installs a translation for v, evicting the set's LRU entry. Victim
-// choice is identical across layouts: first invalid way, else the strict
-// minimum-LRU way scanning left to right.
+// Insert installs a translation for v, evicting the set's LRU entry: the
+// victim is the first invalid way, else the strict minimum-LRU way scanning
+// left to right.
 func (t *TLB) Insert(v mem.Addr, tr Translation) {
 	t.tick++
 	t.present[tr.Size] = true
 	vpn := mem.PageNumber(v, tr.Size)
 	base := t.setBase(vpn)
-	if t.tags != nil {
-		tag := tlbTag(vpn, tr.Size)
-		victim := 0
-		for i := 0; i < t.ways; i++ {
-			tg := t.tags[base+i]
-			if tg == tag {
-				t.lrus[base+i] = t.tick // refresh duplicate
-				return
-			}
-			if tg == 0 {
-				victim = i
-				break
-			}
-			if t.lrus[base+i] < t.lrus[base+victim] {
-				victim = i
-			}
-		}
-		t.tags[base+victim] = tag
-		t.frames[base+victim] = mem.PageBase(tr.PAddr, tr.Size)
-		t.lrus[base+victim] = t.tick
-		return
-	}
-	set := t.entries[base : base+t.ways]
+	tag := tlbTag(vpn, tr.Size)
 	victim := 0
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.size == tr.Size && e.vpn == vpn {
-			e.lru = t.tick // refresh duplicate
+	for i := 0; i < t.ways; i++ {
+		tg := t.tags[base+i]
+		if tg == tag {
+			t.lrus[base+i] = t.tick // refresh duplicate
 			return
 		}
-		if !e.valid {
+		if tg == 0 {
 			victim = i
 			break
 		}
-		if set[i].lru < set[victim].lru {
+		if t.lrus[base+i] < t.lrus[base+victim] {
 			victim = i
 		}
 	}
-	set[victim] = tlbEntry{
-		vpn:   vpn,
-		frame: mem.PageBase(tr.PAddr, tr.Size),
-		size:  tr.Size,
-		valid: true,
-		lru:   t.tick,
-	}
+	t.tags[base+victim] = tag
+	t.frames[base+victim] = mem.PageBase(tr.PAddr, tr.Size)
+	t.lrus[base+victim] = t.tick
 }
 
 // Flush invalidates all entries.
 func (t *TLB) Flush() {
 	for i := range t.tags {
 		t.tags[i] = 0
-	}
-	for i := range t.entries {
-		t.entries[i].valid = false
 	}
 }

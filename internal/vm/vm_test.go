@@ -322,11 +322,33 @@ func TestMMUResident(t *testing.T) {
 		t.Error("just-translated address not resident")
 	}
 	// Residency probes must not disturb hit/miss statistics.
-	h, mi := m.l1.Hits, m.l1.Misses
+	h, mi, by := m.l1.Hits, m.l1.Misses, m.l1.HitsBy
+	h2, mi2 := m.l2.Hits, m.l2.Misses
 	m.Resident(v)
 	m.Resident(v + mem.PageSize2M)
-	if m.l1.Hits != h || m.l1.Misses != mi {
+	if m.l1.Hits != h || m.l1.Misses != mi || m.l1.HitsBy != by || m.l2.Hits != h2 || m.l2.Misses != mi2 {
 		t.Error("Resident perturbed TLB statistics")
+	}
+
+	// A probe is nonetheless a real lookup: a hit refreshes recency. In a
+	// 1-set, 2-way L1 TLB holding A then B, probing A leaves B the LRU way,
+	// so the next insert evicts B and A survives.
+	cfg := DefaultMMUConfig()
+	cfg.L1Entries, cfg.L1Ways = 2, 2
+	m = NewMMU(as, cfg, 0, nil)
+	a, b, c := mem.Addr(0x10000), mem.Addr(0x11000), mem.Addr(0x12000)
+	for _, p := range []mem.Addr{a, b} {
+		m.l1.Insert(p, Translation{PAddr: p, Size: mem.Page4K})
+	}
+	if !m.Resident(a) {
+		t.Fatal("inserted entry not resident")
+	}
+	m.l1.Insert(c, Translation{PAddr: c, Size: mem.Page4K})
+	if _, ok := m.l1.Lookup(a); !ok {
+		t.Error("probed entry evicted: a residency hit must refresh recency")
+	}
+	if _, ok := m.l1.Lookup(b); ok {
+		t.Error("unprobed entry survived: the probe did not reorder the set")
 	}
 }
 
