@@ -30,8 +30,8 @@ type clusterNode struct {
 
 // startCluster builds an n-node cluster. Peer URLs must exist before the
 // servers are configured, so each listener starts with a late-bound handler
-// that is pointed at its Server once constructed. Background heartbeat/steal
-// loops are disabled — tests drive protocol rounds explicitly — and seeds
+// that is pointed at its Server once constructed. The background heartbeat
+// loop is disabled — tests drive protocol rounds explicitly — and seeds
 // start alive, so routing is deterministic from the first request.
 func startCluster(t *testing.T, n int, fn simFunc, tweak func(i int, cfg *Config)) []*clusterNode {
 	t.Helper()
@@ -63,8 +63,6 @@ func startCluster(t *testing.T, n int, fn simFunc, tweak func(i int, cfg *Config
 				Self:              infos[i],
 				Seeds:             infos,
 				HeartbeatInterval: -1,
-				StealInterval:     -1,
-				StealTimeout:      30 * time.Second,
 			},
 		}
 		if tweak != nil {
@@ -255,33 +253,37 @@ func TestClusterFailover(t *testing.T) {
 	}
 }
 
-// victimOwnedRequest returns a single-sim request whose cache key is owned
-// by nodes[victim], found by walking seeds (each seed changes the key).
-func victimOwnedRequest(t *testing.T, nodes []*clusterNode, victim int, fromSeed uint64) SimRequest {
+// ownedRequest returns a single-sim request whose cache key is owned by
+// nodes[owner], found by walking seeds (each seed changes the key).
+func ownedRequest(t *testing.T, nodes []*clusterNode, owner int, fromSeed uint64) SimRequest {
 	t.Helper()
 	for seed := fromSeed; seed < fromSeed+200; seed++ {
 		req := testRequest(1)
 		req.Opt.Seed = seed
-		if _, owner := keyAndOwner(t, nodes, req); owner == victim {
+		if _, o := keyAndOwner(t, nodes, req); o == owner {
 			return req
 		}
 	}
-	t.Fatal("no victim-owned key in 200 seeds (ring distribution broken?)")
+	t.Fatal("no owned key in 200 seeds (ring distribution broken?)")
 	return SimRequest{}
 }
 
-// TestClusterStealDelivery: a queued simulation waiting for a local slot is
-// claimed by an idle peer's steal round, executed there, and the delivered
-// result completes the job on the victim with no local execution.
-func TestClusterStealDelivery(t *testing.T) {
-	nodes := startCluster(t, 2, nil, func(i int, cfg *Config) {
+// TestClusterProxyBusyOwner: a cold request arriving at a non-owner while
+// the owner's only simulation slot is taken is proxied and waits there — it
+// neither fails over nor runs anywhere else — and once the slot frees it
+// executes exactly once, on the owner.
+func TestClusterProxyBusyOwner(t *testing.T) {
+	nodes := startCluster(t, 2, fixedSim(telemetryFixture()), func(i int, cfg *Config) {
 		cfg.SimParallelism = 1
 	})
-	victim, thief := nodes[0], nodes[1]
-	// The victim's only slot wedges on a gated sim; the thief is fast.
+	owner, other := nodes[0], nodes[1]
+	// The owner's only slot wedges on a gated sim. entered reports each run
+	// and is sized to the owner's two runs (A, then B), so no send blocks.
 	gate := make(chan struct{})
-	victim.srv.simFn = func(ctx context.Context, c sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
-		victim.execs.Add(1)
+	entered := make(chan struct{}, 2)
+	owner.srv.simFn = func(ctx context.Context, c sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
+		owner.execs.Add(1)
+		entered <- struct{}{}
 		select {
 		case <-gate:
 			return telemetryFixture(), nil
@@ -289,64 +291,59 @@ func TestClusterStealDelivery(t *testing.T) {
 			return sim.Result{}, ctx.Err()
 		}
 	}
-	thief.srv.simFn = func(ctx context.Context, c sim.Config, spec sim.PrefSpec, w trace.Workload, opt sim.RunOpt) (sim.Result, error) {
-		thief.execs.Add(1)
-		return telemetryFixture(), nil
-	}
 
-	// Both keys must be owned by the victim, or the second would proxy to
-	// the thief instead of queueing locally as stealable work.
-	reqA := victimOwnedRequest(t, nodes, 0, 1)
-	reqB := victimOwnedRequest(t, nodes, 0, reqA.Opt.Seed+1)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	// Both keys are owned by nodes[0], so the owner runs A itself and the
+	// other node proxies B to it.
+	reqA := ownedRequest(t, nodes, 0, 1)
+	reqB := ownedRequest(t, nodes, 0, reqA.Opt.Seed+1)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	vA, err := victim.c.Submit(ctx, reqA)
+	vA, err := owner.c.Submit(ctx, reqA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vB, err := victim.c.Submit(ctx, reqB)
+	select {
+	case <-entered: // A holds the owner's only slot
+	case <-ctx.Done():
+		t.Fatal("wedging sim never started")
+	}
+	vB, err := other.c.Submit(ctx, reqB)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Wait until B is actually exposed to thieves (A holds the slot).
-	deadline := time.Now().Add(10 * time.Second)
-	for victim.srv.Cluster().Pending().Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no stealable work materialized")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := thief.srv.Cluster().StealOnce(ctx); got < 1 {
-		t.Fatalf("StealOnce = %d, want >= 1", got)
+	// B cannot finish while the slot is wedged: it waits on the owner.
+	wctx, wcancel := context.WithTimeout(ctx, 200*time.Millisecond)
+	_, err = other.c.Follow(wctx, vB.ID, nil)
+	wcancel()
+	if err == nil {
+		t.Fatal("proxied job finished while the owner's only slot was wedged")
 	}
 
-	// The stolen job completes although the victim's only slot is still
-	// wedged — the thief computed and delivered it.
-	doneB, err := victim.c.Follow(ctx, vB.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doneB.Status != StatusDone {
-		t.Fatalf("stolen job = %s (%s)", doneB.Status, doneB.Error)
-	}
-	if got := thief.execs.Load(); got != 1 {
-		t.Errorf("thief executed %d sims, want 1", got)
-	}
-	if got := thief.srv.Cluster().Stats().StolenByUs; got != 1 {
-		t.Errorf("thief StolenByUs = %d, want 1", got)
-	}
-	if got := victim.srv.Cluster().Stats().StolenFromUs; got != 1 {
-		t.Errorf("victim StolenFromUs = %d, want 1", got)
-	}
-
-	// Release the wedged sim; job A finishes locally.
 	close(gate)
-	doneA, err := victim.c.Follow(ctx, vA.ID, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range []struct {
+		c  *Client
+		id string
+	}{{owner.c, vA.ID}, {other.c, vB.ID}} {
+		done, err := f.c.Follow(ctx, f.id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.Status != StatusDone {
+			t.Fatalf("job %s = %s (%s)", f.id, done.Status, done.Error)
+		}
 	}
-	if doneA.Status != StatusDone {
-		t.Fatalf("wedged job = %s (%s)", doneA.Status, doneA.Error)
+	if got := owner.execs.Load(); got != 2 {
+		t.Errorf("owner executed %d sims, want 2 (A, then proxied B once)", got)
+	}
+	if got := other.execs.Load(); got != 0 {
+		t.Errorf("non-owner executed %d sims, want 0", got)
+	}
+	st := other.srv.Cluster().Stats()
+	if st.ProxiedSims != 1 {
+		t.Errorf("ProxiedSims = %d, want 1", st.ProxiedSims)
+	}
+	if st.Failovers != 0 {
+		t.Errorf("Failovers = %d, want 0", st.Failovers)
 	}
 }

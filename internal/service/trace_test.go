@@ -210,7 +210,7 @@ func TestClusterTraceProxy(t *testing.T) {
 		cfg.Flight = recs[i]
 		cfg.Cluster.Flight = recs[i]
 	})
-	req := victimOwnedRequest(t, nodes, 1, 1)
+	req := ownedRequest(t, nodes, 1, 1)
 	client := dtrace.NewRecorder("pexp", 64)
 	runTraced(t, nodes[0].c, client, req)
 
@@ -252,7 +252,7 @@ func TestClusterTraceRemoteHit(t *testing.T) {
 		cfg.Flight = recs[i]
 		cfg.Cluster.Flight = recs[i]
 	})
-	req := victimOwnedRequest(t, nodes, 1, 1)
+	req := ownedRequest(t, nodes, 1, 1)
 	// Warm the owner's cache with an untraced run on the owner itself.
 	runOne(t, nodes[1].c, req)
 
