@@ -185,9 +185,10 @@ func (c *Core) Run(r trace.Reader, maxInstructions uint64) uint64 {
 
 // RunUntil executes until maxInstructions retire, the trace drains, or the
 // core's clock reaches untilCycle — whichever comes first. The cycle bound is
-// what keeps multiple cores time-aligned on shared resources: the multi-core
+// what keeps multiple cores time-aligned on shared resources: the simulation
 // driver advances all cores epoch by epoch, so no core's requests run far
-// ahead of its peers' clocks.
+// ahead of its peers' clocks. Execution does not depend on how a run is cut
+// into calls, by instructions or by cycles.
 func (c *Core) RunUntil(r trace.Reader, maxInstructions uint64, untilCycle mem.Cycle) uint64 {
 	start := c.Instructions
 	fetchedAll := false

@@ -217,10 +217,12 @@ func TestFrontEndHitsAreFree(t *testing.T) {
 }
 
 func TestChunkedRunMatchesMonolithic(t *testing.T) {
-	// Splitting a run into arbitrary Run-call chunks must not change the
-	// execution: the pending trace access survives call boundaries in the
-	// core instead of being dropped. Chunk sizes deliberately misalign with
-	// the gap structure so boundaries land mid-record.
+	// Splitting a run into arbitrary RunUntil slices must not change the
+	// execution: the pending trace access and the current cycle's retire
+	// budget survive call boundaries in the core instead of being dropped.
+	// Instruction chunks deliberately misalign with the gap structure so
+	// boundaries land mid-record; cycle windows (the multi-core driver's
+	// shared epochs) additionally cut the run mid-stall.
 	mkAccs := func() []trace.Access {
 		accs := make([]trace.Access, 3000)
 		for i := range accs {
@@ -237,24 +239,39 @@ func TestChunkedRunMatchesMonolithic(t *testing.T) {
 	mono := New(DefaultConfig(), &fixedMem{latency: 37})
 	monoTotal := mono.Run(&sliceReader{accs: mkAccs()}, 1<<30)
 
-	for _, chunk := range []uint64{1, 7, 97, 1001} {
+	for _, sl := range []struct {
+		instr  uint64
+		cycles mem.Cycle // slice window; 0 = instruction-bounded only
+	}{
+		{1, 0}, {7, 0}, {97, 0}, {1001, 0},
+		{3, 1}, {1001, 1}, {7, 37}, {1001, 37},
+		{97, 2000}, {1 << 30, 2000}, {1, 5003}, {1001, 5003},
+	} {
 		ms := &fixedMem{latency: 37}
 		c := New(DefaultConfig(), ms)
 		r := &sliceReader{accs: mkAccs()}
 		var total uint64
 		for {
-			got := c.Run(r, chunk)
+			until := mem.Cycle(1 << 62)
+			if sl.cycles > 0 {
+				until = c.Cycle + sl.cycles
+			}
+			got := c.RunUntil(r, sl.instr, until)
 			total += got
-			if got < chunk {
-				break
+			if got < sl.instr && c.Cycle < until {
+				break // trace drained
 			}
 		}
-		if total != monoTotal {
-			t.Errorf("chunk %d: retired %d, monolithic retired %d", chunk, total, monoTotal)
+		if total != monoTotal || c.Instructions != mono.Instructions {
+			t.Errorf("slice %+v: retired %d, monolithic retired %d", sl, total, monoTotal)
 		}
 		if c.Cycle != mono.Cycle || c.Loads != mono.Loads || c.Stores != mono.Stores {
-			t.Errorf("chunk %d: cycle/loads/stores = %d/%d/%d, want %d/%d/%d",
-				chunk, c.Cycle, c.Loads, c.Stores, mono.Cycle, mono.Loads, mono.Stores)
+			t.Errorf("slice %+v: cycle/loads/stores = %d/%d/%d, want %d/%d/%d",
+				sl, c.Cycle, c.Loads, c.Stores, mono.Cycle, mono.Loads, mono.Stores)
+		}
+		if c.StallLoad != mono.StallLoad || c.StallStore != mono.StallStore || c.StallOther != mono.StallOther {
+			t.Errorf("slice %+v: stalls load/store/other = %d/%d/%d, want %d/%d/%d", sl,
+				c.StallLoad, c.StallStore, c.StallOther, mono.StallLoad, mono.StallStore, mono.StallOther)
 		}
 	}
 }

@@ -127,54 +127,62 @@ type Job struct {
 // runBatch executes all jobs with bounded parallelism, returning results in
 // job order. When a result cache is configured, each job first consults it
 // and only cache misses simulate. A Remote runner, when set, executes the
-// whole batch on a simulation service instead. Every failed job's error is
-// surfaced, joined, rather than just the first; a canceled context stops
-// workers at the next simulation boundary.
+// whole batch on a simulation service instead.
 func runBatch(o Options, jobs []Job) ([]sim.Result, error) {
-	ctx := o.ctx()
-	tr := progress.New(o.Progress, o.Label, len(jobs))
 	if o.Remote != nil {
-		results, err := o.Remote.RunBatch(ctx, o.Config, jobs, o.runOpt(), tr)
+		tr := progress.New(o.Progress, o.Label, len(jobs))
+		results, err := o.Remote.RunBatch(o.ctx(), o.Config, jobs, o.runOpt(), tr)
 		tr.Finish()
 		return results, err
 	}
 	results := make([]sim.Result, len(jobs))
-	errs := make([]error, len(jobs))
-	par := o.Parallelism
-	if par <= 0 {
-		par = 1
+	name := func(i int) string { return "job " + jobs[i].Workload.Name + "/" + jobs[i].Spec.String() }
+	err := runPool(o, o.Label, len(jobs), name, func(i int) (hit bool, err error) {
+		results[i], hit, err = runOne(o.ctx(), o, jobs[i])
+		return hit, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	sem := make(chan struct{}, par)
+	return results, nil
+}
+
+// runPool is the one bounded worker pool every locally simulated experiment
+// run goes through, single-core job or mix: it runs task(0..n-1) on at most
+// o.Parallelism goroutines, reporting each completion (and whether it was a
+// cache hit) on a progress line under label. A task still queued when the
+// context is canceled does not start. A panicking task (a broken prefetcher,
+// a corrupt trace) fails with its own error, naming it by name(i), instead of
+// crashing the process. Every failure is surfaced, joined, rather than just
+// the first.
+func runPool(o Options, label string, n int, name func(i int) string, task func(i int) (hit bool, err error)) error {
+	ctx := o.ctx()
+	tr := progress.New(o.Progress, label, n)
+	errs := make([]error, n)
+	sem := make(chan struct{}, max(o.Parallelism, 1))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, j Job) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// A panicking simulation (a broken prefetcher, a corrupt trace)
-			// must fail its own job, not the whole process: the recovery
-			// converts it into this job's error, joined with the rest below.
 			defer func() {
 				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("experiments: job %s/%s panicked: %v\n%s",
-						j.Workload.Name, j.Spec, r, debug.Stack())
+					errs[i] = fmt.Errorf("experiments: %s panicked: %v\n%s", name(i), r, debug.Stack())
 				}
 			}()
 			if errs[i] = ctx.Err(); errs[i] != nil {
 				return // canceled while queued: don't start the simulation
 			}
 			var hit bool
-			results[i], hit, errs[i] = runOne(ctx, o, j)
+			hit, errs[i] = task(i)
 			tr.Step(hit)
-		}(i, j)
+		}()
 	}
 	wg.Wait()
 	tr.Finish()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return errors.Join(errs...)
 }
 
 // runOne executes (or recalls) a single simulation, reporting whether it was

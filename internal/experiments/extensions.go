@@ -139,20 +139,24 @@ func Extensions(o Options) (*ExtensionsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var withW, withoutW uint64
+	var walkJobs []Job
 	for _, w := range walkWs {
-		base, err := sim.Run(o.Config, sim.PrefSpec{Base: "none"}, w, o.runOpt())
-		if err != nil {
-			return nil, err
-		}
-		cfg := o.Config
-		cfg.MMU.TLBPrefetch = true
-		pref, err := sim.Run(cfg, sim.PrefSpec{Base: "none"}, w, o.runOpt())
-		if err != nil {
-			return nil, err
-		}
-		withoutW += base.Walks
-		withW += pref.Walks
+		walkJobs = append(walkJobs, Job{Workload: w, Spec: sim.PrefSpec{Base: "none"}})
+	}
+	without, err := runBatch(o, walkJobs)
+	if err != nil {
+		return nil, err
+	}
+	po := o
+	po.Config.MMU.TLBPrefetch = true
+	with, err := runBatch(po, walkJobs)
+	if err != nil {
+		return nil, err
+	}
+	var withW, withoutW uint64
+	for i := range walkJobs {
+		withoutW += without[i].Walks
+		withW += with[i].Walks
 	}
 	if withoutW > 0 {
 		res.TLBPrefetchWalkReduction = 1 - float64(withW)/float64(withoutW)

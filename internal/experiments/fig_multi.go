@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/progress"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -92,10 +89,9 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 		}
 	}
 
-	iso := map[string]float64{} // "spec/workload" → isolation IPC
-	var isoMu sync.Mutex
+	all := append(append([]schemeDef{}, baselines...), schemes...)
 	var isoJobs []Job
-	for _, s := range append(append([]schemeDef{}, baselines...), schemes...) {
+	for _, s := range all {
 		for _, w := range distinct {
 			isoJobs = append(isoJobs, Job{Workload: w, Spec: s.spec})
 		}
@@ -106,25 +102,46 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	iso := map[string]float64{} // "spec/workload" → isolation IPC
 	for i, r := range isoRes {
-		isoMu.Lock()
 		iso[isoJobs[i].Spec.String()+"/"+isoJobs[i].Workload.Name] = r.IPC
-		isoMu.Unlock()
 	}
 
-	// Weighted speedup of one (mix, spec). Mix runs always simulate locally
-	// (a Remote runner only covers single-core batches), but they honour the
-	// batch context at epoch boundaries.
-	ws := func(mix []trace.Workload, spec sim.PrefSpec) (float64, error) {
-		res, err := sim.RunMultiContext(o.ctx(), cfg, spec, mix, opt)
+	// One pool run per (mix, scheme): baselines and schemes alike. Mix runs
+	// always simulate locally (a Remote runner only covers single-core
+	// batches), but they honour the batch context at epoch boundaries. Each
+	// run writes its own slot of a preallocated per-scheme slice.
+	type mixRun struct {
+		mix int
+		def schemeDef
+	}
+	var runs []mixRun
+	wsVals := map[string][]float64{} // scheme name → per-mix weighted speedup
+	for _, s := range all {
+		wsVals[s.name] = make([]float64, len(mixes))
+		for idx := range mixes {
+			runs = append(runs, mixRun{idx, s})
+		}
+	}
+	name := func(i int) string { return fmt.Sprintf("mix %d, %s", runs[i].mix, runs[i].def.name) }
+	err = runPool(o, o.Label+" mixes", len(runs), name, func(i int) (bool, error) {
+		r := runs[i]
+		mix := mixes[r.mix]
+		res, err := sim.RunMultiContext(o.ctx(), cfg, r.def.spec, mix, opt)
 		if err != nil {
-			return 0, err
+			return false, fmt.Errorf("%s: %w", name(i), err)
 		}
+		ipc := make([]float64, len(mix))
 		isoIPC := make([]float64, len(mix))
-		for i, w := range mix {
-			isoIPC[i] = iso[spec.String()+"/"+w.Name]
+		for c, w := range mix {
+			ipc[c] = res[c].IPC
+			isoIPC[c] = iso[r.def.spec.String()+"/"+w.Name]
 		}
-		return stats.WeightedSpeedup(res.IPC, isoIPC), nil
+		wsVals[r.def.name][r.mix] = stats.WeightedSpeedup(ipc, isoIPC)
+		return false, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	out := &MultiResult{
@@ -132,62 +149,6 @@ func multicore(o Options, cores int) (*MultiResult, error) {
 		Summary:  map[string]stats.Summary{},
 		Speedups: map[string][]float64{},
 	}
-	type mixJob struct {
-		mixIdx int
-		scheme int // -1.. baseline index encoded separately
-		name   string
-		spec   sim.PrefSpec
-	}
-	// For each mix: baseline WS per base prefetcher, then scheme WS.
-	par := o.Parallelism
-	if par <= 0 {
-		par = 1
-	}
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	wsVals := map[string][]float64{} // name → per-mix WS
-	record := func(name string, idx int, v float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		if wsVals[name] == nil {
-			wsVals[name] = make([]float64, len(mixes))
-		}
-		wsVals[name][idx] = v
-	}
-	nRuns := len(mixes) * (len(baselines) + len(schemes))
-	tr := progress.New(o.Progress, o.Label+" mixes", nRuns)
-	var errs []error // every failed run's error, joined below
-	runMix := func(name string, spec sim.PrefSpec, idx int) {
-		defer wg.Done()
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		v, err := ws(mixes[idx], spec)
-		tr.Step(false)
-		if err != nil {
-			mu.Lock()
-			errs = append(errs, fmt.Errorf("mix %d, %s: %w", idx, name, err))
-			mu.Unlock()
-			return
-		}
-		record(name, idx, v)
-	}
-	for idx := range mixes {
-		for _, b := range baselines {
-			wg.Add(1)
-			go runMix(b.name, b.spec, idx)
-		}
-		for _, s := range schemes {
-			wg.Add(1)
-			go runMix(s.name, s.spec, idx)
-		}
-	}
-	wg.Wait()
-	tr.Finish()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-
 	for _, s := range schemes {
 		base := strings.ToLower(strings.SplitN(s.name, "-", 2)[0]) + "-original"
 		var pct []float64

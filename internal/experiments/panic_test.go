@@ -61,3 +61,33 @@ func TestRunBatchRecoversPanics(t *testing.T) {
 		t.Fatalf("healthy batch failed after recovered panic: %v", err)
 	}
 }
+
+// TestFigure14RecoversMixPanics: a panicking mix run must fail its own
+// (mix, scheme) run — surfaced through the figure's error with both named —
+// instead of crashing the process. The saboteur's reader panics only when
+// built for a core other than 0 (any seed but the run's), so its isolation
+// runs, which use core 0's seed, succeed and only the mix runs fail.
+func TestFigure14RecoversMixPanics(t *testing.T) {
+	o := tinyOptions(t)
+	good := o.Workloads[0]
+	bad := good
+	bad.Name = "panics-off-core0"
+	bad.New = func(seed uint64) trace.Reader {
+		if seed != o.Seed {
+			return &panicReader{left: 100}
+		}
+		return good.New(seed)
+	}
+	o.Workloads = []trace.Workload{bad}
+
+	_, err := Figure14(o)
+	if err == nil {
+		t.Fatal("Figure 14 with a panicking mix returned no error")
+	}
+	msg := err.Error()
+	for _, want := range []string{"panicked", "mix 0, SPP-PSA", "mix 1, bop-original"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error does not name %q: %.300s", want, msg)
+		}
+	}
+}

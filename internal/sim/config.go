@@ -1,7 +1,8 @@
 // Package sim assembles the full simulated system — cores, TLBs, page
 // tables, the three-level cache hierarchy, prefetch engines, and DRAM — and
-// drives single-core and multi-core runs, producing the metrics the
-// experiment harness aggregates into the paper's figures.
+// drives runs on it through one N-core driver (a single-core run is a
+// one-core mix), producing the metrics the experiment harness aggregates into
+// the paper's figures.
 package sim
 
 import (

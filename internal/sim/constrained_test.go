@@ -110,14 +110,21 @@ func TestEightCoreContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg := func(xs []float64) float64 {
+	avg := func(rs []Result) float64 {
 		s := 0.0
-		for _, x := range xs {
-			s += x
+		for i, r := range rs {
+			if r.Instructions != opt.Instructions {
+				t.Errorf("%d-core run: core %d measured %d instructions, want %d",
+					len(rs), i, r.Instructions, opt.Instructions)
+			}
+			if r.IPC <= 0 || !withinWidth(r) {
+				t.Errorf("%d-core run: core %d IPC = %v", len(rs), i, r.IPC)
+			}
+			s += r.IPC
 		}
-		return s / float64(len(xs))
+		return s / float64(len(rs))
 	}
-	if avg(r8.IPC) >= avg(r4.IPC) {
-		t.Errorf("8-core per-core IPC %.3f not below 4-core %.3f (same DRAM)", avg(r8.IPC), avg(r4.IPC))
+	if avg(r8) >= avg(r4) {
+		t.Errorf("8-core per-core IPC %.3f not below 4-core %.3f (same DRAM)", avg(r8), avg(r4))
 	}
 }

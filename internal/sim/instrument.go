@@ -28,7 +28,7 @@ type insKey struct{}
 
 // WithInstrumentation returns a context carrying ins. The context is the
 // carrier because runs are dispatched through layers that must not know about
-// telemetry (the result cache, the service's simFn): RunContext picks the
+// telemetry (the result cache, the service's simFn): the run driver picks the
 // instrumentation up on the far side without any signature change.
 func WithInstrumentation(ctx context.Context, ins *Instrumentation) context.Context {
 	if ins == nil {
@@ -120,10 +120,11 @@ func (ins *Instrumentation) attach(sys *system) {
 	}
 }
 
-// registerProbes installs the standard probe set over a single-core system
-// (node 0): per-level cache counters and derived ratios, prefetch-engine
-// counters with page-size attribution, TLB and page-walk traffic by page
-// size, DRAM traffic and row-buffer behaviour, and occupancy gauges.
+// registerProbes installs the standard probe set over core 0 (node 0) and
+// the shared LLC and DRAM: per-level cache counters and derived ratios,
+// prefetch-engine counters with page-size attribution, TLB and page-walk
+// traffic by page size, DRAM traffic and row-buffer behaviour, and occupancy
+// gauges.
 func (ins *Instrumentation) registerProbes(sys *system) {
 	c := ins.Collector
 	n := sys.nodes[0]

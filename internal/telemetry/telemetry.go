@@ -1,9 +1,8 @@
 // Package telemetry is the simulator's zero-dependency instrumentation
 // layer. It provides three pieces:
 //
-//   - Registry primitives (Counter, Gauge, Histogram): allocation-free
-//     atomic metrics that components bump on their hot paths and exporters
-//     read concurrently.
+//   - Histogram: an allocation-free atomic bucketed distribution that hot
+//     paths observe into and exporters read concurrently.
 //   - Collector: an epoch-series sampler. Components register probes once
 //     (cumulative counters, instantaneous gauges, or derived ratios); the
 //     run loop calls EndEpoch at each epoch boundary and the collector turns
@@ -22,55 +21,9 @@ package telemetry
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n. Nil-safe.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
-// Inc increments the counter by one. Nil-safe.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count. Nil-safe (zero).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is an instantaneous float value, stored atomically so scrapers can
-// read it from other goroutines.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores the gauge value. Nil-safe.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Value returns the gauge value. Nil-safe (zero).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
 
 // Histogram counts observations into explicit upper-bound buckets plus an
 // overflow bucket. Bounds are inclusive upper edges and must be ascending.
@@ -147,85 +100,4 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.Sum()) / float64(n)
-}
-
-// Registry is a named collection of metrics. Components register metrics
-// once at construction; exporters enumerate them at scrape time. Lookups
-// and registrations are concurrency-safe; the returned metric objects are
-// themselves atomic, so hot paths touch no locks.
-type Registry struct {
-	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
-		histograms: map[string]*Histogram{},
-	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given bounds
-// on first use (later calls ignore the bounds).
-func (r *Registry) Histogram(name string, bounds ...uint64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = NewHistogram(bounds...)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Each calls fn for every counter and gauge in name order (histograms are
-// exported by their owners, which know how to render buckets).
-func (r *Registry) Each(fn func(name string, value float64)) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	counters := r.counters
-	gauges := r.gauges
-	r.mu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		if c, ok := counters[n]; ok {
-			fn(n, float64(c.Value()))
-		} else {
-			fn(n, gauges[n].Value())
-		}
-	}
 }
