@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-seeds perfbench-test golden-update staticcheck e2e e2e-cluster serve check bench bench-smoke bench-compare
+.PHONY: build test race vet fmt-check fuzz-seeds perfbench-test golden-update staticcheck e2e e2e-cluster serve check
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,12 @@ race:
 vet:
 	$(GO) vet ./...
 
+# fmt-check fails when any tracked Go file is not gofmt-formatted. Listing
+# files through git keeps the untracked .bench_build/ module cache out.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
+
 # fuzz-seeds replays every checked-in fuzz seed corpus as plain tests (no
 # fuzzing engine) under the race detector, catching trace-format,
 # batch-decoder, submit-decoder, flat-page-table, traceparent-parser,
@@ -30,27 +36,6 @@ fuzz-seeds:
 # never reaches it. Standard library only: no network needed.
 perfbench-test:
 	$(GO) -C perfbench test -race ./...
-
-# bench runs the pinned workload×prefetcher microbenchmark suite and writes
-# BENCH_<date>.json (see cmd/pbench -h for comparing against a baseline).
-bench:
-	$(GO) run ./cmd/pbench
-
-# bench-compare runs the full pinned suite against the most recent committed
-# full-format BENCH_<date>.json and prints per-row and geomean deltas. It
-# never gates: throughput on shared machines is informational. The result is
-# written to BENCH_compare.json (untracked) so CI can archive it.
-bench-compare:
-	$(GO) run ./cmd/pbench -out BENCH_compare.json \
-		-compare "$$(ls BENCH_2*-*.json 2>/dev/null | grep -v _smoke | sort | tail -1)"
-
-# bench-smoke is the CI regression gate: a shortened run compared against the
-# committed smoke-format reference, failing when allocations per access
-# regress past 2x. Throughput is reported but not gated (CI machines vary too
-# much); alloc counts are deterministic enough to gate.
-bench-smoke:
-	$(GO) run ./cmd/pbench -smoke -out BENCH_smoke.json \
-		-compare BENCH_2026-08-07_smoke.json -max-allocs-ratio 2
 
 # golden-update regenerates the checked-in figure snapshots after an
 # intentional figure change. Inspect the diff before committing.
@@ -84,4 +69,4 @@ serve:
 	$(GO) run ./cmd/psimd
 
 # check is the full CI gate.
-check: vet staticcheck build test race fuzz-seeds perfbench-test
+check: fmt-check vet staticcheck build test race fuzz-seeds perfbench-test

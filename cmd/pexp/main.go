@@ -32,41 +32,17 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/dtrace"
 	"repro/internal/experiments"
+	"repro/internal/profiling"
 	"repro/internal/service"
 	"repro/internal/simcache"
 )
-
-// defaultCacheDir places the result cache under the OS user cache directory,
-// falling back to a dot directory in the working tree.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
-
-// writeHeapProfile snapshots live-heap allocations into path (-memprofile).
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize the final live set
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-	}
-}
 
 // writeStitchedTrace merges the client's own spans with every endpoint's
 // flight-recorder dump, keeps the traces this run started, and writes the
@@ -128,7 +104,7 @@ func run() int {
 		base       = flag.String("base", "", "prefetcher for per-prefetcher studies (fig8): spp, vldp, ppf, bop, sms, ampm, temporal, pangloss, vamp")
 		htmlOut    = flag.String("html", "", "also write an HTML report (with SVG charts) to this file")
 		noCache    = flag.Bool("no-cache", false, "disable the simulation result cache")
-		cacheDir   = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir   = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		quiet      = flag.Bool("quiet", false, "suppress live progress reporting")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -150,22 +126,12 @@ func run() int {
 		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stopProfiles()
 	if *pprofAddr != "" {
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {

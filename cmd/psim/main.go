@@ -16,12 +16,10 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"syscall"
 
 	"repro/internal/core"
+	"repro/internal/profiling"
 	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/telemetry"
@@ -73,28 +71,6 @@ func replayWorkload(path string, thpFrac float64) (trace.Workload, error) {
 	}, nil
 }
 
-// defaultCacheDir matches pexp's default, so the two commands share entries.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
-
-// writeHeapProfile snapshots live-heap allocations into path (-memprofile).
-func writeHeapProfile(path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-		return
-	}
-	defer f.Close()
-	runtime.GC() // materialize the final live set
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		fmt.Fprintln(os.Stderr, "memprofile:", err)
-	}
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -111,7 +87,7 @@ func run() int {
 		listWs      = flag.Bool("workloads", false, "list workloads and exit")
 		printConfig = flag.Bool("print-config", false, "print the Table I configuration and exit")
 		noCache     = flag.Bool("no-cache", false, "disable the simulation result cache")
-		cacheDir    = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir    = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -144,22 +120,12 @@ func run() int {
 		return 2
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer writeHeapProfile(*memProfile)
-	}
+	defer stopProfiles()
 
 	// Ctrl-C cancels at the next simulation-chunk boundary; an interrupted
 	// run writes nothing to the cache.
@@ -167,7 +133,6 @@ func run() int {
 	defer stopSignals()
 
 	var w trace.Workload
-	var err error
 	if *traceFile != "" {
 		w, err = replayWorkload(*traceFile, *thpFrac)
 	} else {

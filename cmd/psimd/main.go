@@ -36,10 +36,9 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
-	"net/url"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -51,20 +50,12 @@ import (
 	"repro/internal/simcache"
 )
 
-// defaultCacheDir matches pexp/psim, so the daemon shares their entries.
-func defaultCacheDir() string {
-	if dir, err := os.UserCacheDir(); err == nil {
-		return filepath.Join(dir, "psat-repro", "simcache")
-	}
-	return ".simcache"
-}
-
 func main() { os.Exit(run()) }
 
 func run() int {
 	var (
 		addr     = flag.String("addr", "localhost:8080", "listen address")
-		cacheDir = flag.String("cache-dir", defaultCacheDir(), "simulation result cache directory")
+		cacheDir = flag.String("cache-dir", simcache.DefaultDir(), "simulation result cache directory")
 		noCache  = flag.Bool("no-cache", false, "disable the result cache (every sim executes)")
 		workers  = flag.Int("workers", 4, "jobs making progress concurrently")
 		par      = flag.Int("par", runtime.NumCPU(), "concurrent simulations across all jobs")
@@ -72,7 +63,6 @@ func run() int {
 		maxBatch = flag.Int("max-batch", 4096, "maximum simulations per request")
 		timeout  = flag.Duration("timeout", 0, "default per-job deadline (0: none)")
 		drain    = flag.Duration("drain", 60*time.Second, "graceful-drain bound on SIGTERM before in-flight jobs are canceled")
-		noTel    = flag.Bool("no-telemetry", false, "disable live simulation telemetry (SSE job snapshots and psimd_live_* gauges)")
 
 		clustered = flag.Bool("cluster", false, "join a psimd cluster (requires the result cache)")
 		peers     = flag.String("peers", "", "comma-separated seed peers: id=http://host:port or bare URLs")
@@ -85,12 +75,11 @@ func run() int {
 	flag.Parse()
 
 	cfg := service.Config{
-		Workers:          *workers,
-		SimParallelism:   *par,
-		QueueDepth:       *queue,
-		MaxBatch:         *maxBatch,
-		DefaultTimeout:   *timeout,
-		DisableTelemetry: *noTel,
+		Workers:        *workers,
+		SimParallelism: *par,
+		QueueDepth:     *queue,
+		MaxBatch:       *maxBatch,
+		DefaultTimeout: *timeout,
 	}
 	if !*noCache {
 		store, err := simcache.New(*cacheDir)

@@ -61,12 +61,6 @@ type Config struct {
 	// KeepFinished is how many terminal jobs remain queryable before the
 	// oldest are evicted (default 256).
 	KeepFinished int
-	// DisableTelemetry turns off live per-simulation instrumentation: jobs
-	// then emit no SSE telemetry snapshots from executed sims and /metrics
-	// reports no live simulator gauges. Instrumentation is observational
-	// (results and cache keys are unaffected), so this only trades the small
-	// sampling overhead against visibility.
-	DisableTelemetry bool
 	// Cluster, when non-nil, joins this daemon to a psimd cluster: a
 	// consistent-hash ring over simcache keys routes each simulation to an
 	// owner node, peers serve each other's warm cache entries, and an
@@ -615,9 +609,9 @@ func (s *Server) runJob(j *jobState) {
 // shared semaphore, then goes through the store's single-flight DoContext.
 // It is the terminal execution path of every route — local jobs, proxied
 // owner requests and failovers all land here — and owns the hit/executed
-// metric accounting for this daemon. Unless telemetry is disabled, each
-// executed simulation (cache hits never execute) carries a live collector
-// that /metrics samples while the run is in flight.
+// metric accounting for this daemon. Each executed simulation (cache hits
+// never execute) carries a live collector that /metrics samples while the
+// run is in flight.
 func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.RunOpt) (sim.Result, bool, error) {
 	select {
 	case s.simSem <- struct{}{}:
@@ -633,14 +627,12 @@ func (s *Server) execUnit(ctx context.Context, cfg sim.Config, u unit, opt sim.R
 	var simEnd time.Time
 	run := func(ctx context.Context) (sim.Result, error) {
 		rctx, rs := dtrace.Start(ctx, "sim.run")
-		if !s.cfg.DisableTelemetry {
-			_, ts := dtrace.Start(rctx, "telemetry.attach")
-			col := telemetry.NewCollector()
-			s.addLive(col)
-			defer s.removeLive(col)
-			rctx = sim.WithInstrumentation(rctx, &sim.Instrumentation{Collector: col})
-			ts.End()
-		}
+		_, ts := dtrace.Start(rctx, "telemetry.attach")
+		col := telemetry.NewCollector()
+		s.addLive(col)
+		defer s.removeLive(col)
+		rctx = sim.WithInstrumentation(rctx, &sim.Instrumentation{Collector: col})
+		ts.End()
 		r, err := s.simFn(rctx, cfg, u.spec, u.w, opt)
 		rs.Fail(err)
 		rs.End()

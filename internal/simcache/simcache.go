@@ -128,6 +128,16 @@ type Store struct {
 	hits, shared, misses, corrupt atomic.Uint64
 }
 
+// DefaultDir is the cache directory every command defaults to, so pexp, psim
+// and psimd share one set of entries: under the OS user cache directory,
+// falling back to a dot directory in the working tree.
+func DefaultDir() string {
+	if dir, err := os.UserCacheDir(); err == nil {
+		return filepath.Join(dir, "psat-repro", "simcache")
+	}
+	return ".simcache"
+}
+
 // New opens (creating if needed) a store rooted at dir.
 func New(dir string) (*Store, error) {
 	if dir == "" {
