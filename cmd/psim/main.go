@@ -239,7 +239,7 @@ func run() int {
 		}
 		if ins.Tracer != nil {
 			fmt.Printf("telemetry: %d lifecycle events recorded (%d retained, %d overwritten)\n",
-				ins.Tracer.Total(), len(ins.Tracer.Events()), ins.Tracer.Dropped())
+				ins.Tracer.Total(), ins.Tracer.Len(), ins.Tracer.Dropped())
 		}
 		if !ok {
 			return 1

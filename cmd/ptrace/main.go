@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,10 +43,10 @@ func (f *footprint) histogram() *telemetry.Histogram {
 }
 
 // printFootprint renders one page-size row plus its reuse histogram.
-func printFootprint(label string, pageBytes uint64, f *footprint) {
+func printFootprint(w io.Writer, label string, pageBytes uint64, f *footprint) {
 	h := f.histogram()
 	touched := uint64(len(f.pages))
-	fmt.Printf("%s pages:     %d touched (%.1f MiB footprint, %.1f accesses/page)\n",
+	fmt.Fprintf(w, "%s pages:     %d touched (%.1f MiB footprint, %.1f accesses/page)\n",
 		label, touched, float64(touched*pageBytes)/(1<<20), h.Mean())
 	var rows []string
 	lo := uint64(1)
@@ -67,7 +68,7 @@ func printFootprint(label string, pageBytes uint64, f *footprint) {
 			lo = b.UpperBound + 1
 		}
 	}
-	fmt.Printf("  accesses/page: %s\n", strings.Join(rows, " "))
+	fmt.Fprintf(w, "  accesses/page: %s\n", strings.Join(rows, " "))
 }
 
 func main() {
@@ -145,8 +146,8 @@ func main() {
 		// The same footprint at both granularities shows how much a 2MB
 		// mapping would cover: many 4KB pages folding into few 2MB pages is
 		// exactly the locality page-size-aware prefetching exploits.
-		printFootprint("4KB", 4<<10, fp4k)
-		printFootprint("2MB", 2<<20, fp2m)
+		printFootprint(os.Stdout, "4KB", 4<<10, fp4k)
+		printFootprint(os.Stdout, "2MB", 2<<20, fp2m)
 		// The digest is the replay's cache identity: psim -trace folds it
 		// into simulation result-cache keys as the workload's ContentID.
 		digest, err := trace.FileDigest(*info)

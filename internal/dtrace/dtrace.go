@@ -3,16 +3,17 @@
 // cluster-hop hierarchy, identified by a 128-bit trace ID that propagates
 // across processes in a W3C traceparent-style HTTP header.
 //
-// The design follows the repo's telemetry discipline (see internal/telemetry):
+// The recording and export primitives are internal/telemetry's, shared with
+// the simulator's prefetch lifecycle tracer:
 //
 //   - Off is free. Tracing rides a context; a context without a recorder
 //     makes Start return a nil *Span whose every method is a nil-check no-op,
 //     so untraced paths pay one context lookup and nothing else.
-//   - Recording never allocates per event. Each node keeps a preallocated,
-//     pointer-free span ring (a flight recorder): span names are interned
-//     into a small table and free-text annotations are truncated into a
-//     fixed byte array, so the GC never scans the ring and the newest spans
-//     are always available for live inspection (GET /debug/flight).
+//   - Recording never allocates per event. Each node keeps a flight recorder
+//     on a telemetry.Ring of pointer-free span records: span names go
+//     through a telemetry.Interner and free-text annotations are truncated
+//     into a fixed byte array, so the GC never scans the ring and the newest
+//     spans are always available for live inspection (GET /debug/flight).
 //   - Attribution over aggregation. Counters say how many proxies or
 //     failovers happened; spans say which simulation of which batch stalled
 //     where, on which node, and why — the per-event accounting the paper
@@ -20,8 +21,8 @@
 //
 // Spans recorded on different nodes under one trace ID are stitched into a
 // single tree (Stitch, TreeOf) and exported as Chrome trace_event JSON
-// (WriteChromeTrace), which Perfetto renders as one timeline with a track
-// per node.
+// through telemetry.ChromeTrace (WriteChromeTrace), which Perfetto renders
+// as one timeline with a track per node.
 package dtrace
 
 import (

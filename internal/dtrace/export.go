@@ -1,9 +1,10 @@
 package dtrace
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
+
+	"repro/internal/telemetry"
 )
 
 // Stitch merges span sets fetched from several nodes (plus the client's own
@@ -100,68 +101,18 @@ func TreeOf(trace string, spans []SpanData) TreeStats {
 	return st
 }
 
-// chromeEvent is one trace_event record; see the Chrome Trace Event Format.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 // WriteChromeTrace writes stitched spans in Chrome trace_event JSON (the
 // array form chrome://tracing and Perfetto load directly). Each node becomes
-// a process (named by a process_name metadata record) and each trace a
-// thread within it, so a multi-node batch renders as one timeline with a
-// track per node. Timestamps are wall-clock microseconds; spans are complete
-// ("X") slices carrying their span/parent IDs and annotation in args.
+// a process and each trace a thread within it ("trace <first 8 hex digits>"),
+// so a multi-node batch renders as one timeline with a track per node.
+// Timestamps are wall-clock microseconds; spans are complete ("X") slices
+// carrying their span/parent IDs and annotation in args.
 func WriteChromeTrace(w io.Writer, spans []SpanData) error {
-	// Stable process numbering: nodes sorted, pid 1..N.
-	pidOf := map[string]int{}
-	for _, n := range nodeSet(spans) {
-		pidOf[n] = len(pidOf) + 1
-	}
-	// Thread numbering per (node, trace), in first-seen order after a sort
-	// by start time so tid assignment is deterministic.
-	ordered := append([]SpanData(nil), spans...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].StartNS < ordered[j].StartNS })
-	type laneKey struct {
-		node, trace string
-	}
-	tidOf := map[laneKey]int{}
-	nextTID := map[string]int{}
-
-	out := make([]chromeEvent, 0, len(ordered)+2*len(pidOf))
-	for node, pid := range pidOf {
-		name := node
-		if name == "" {
-			name = "(unattributed)"
-		}
-		out = append(out, chromeEvent{
-			Name: "process_name", Phase: "M", PID: pid, TID: 0,
-			Args: map[string]any{"name": name},
-		})
-	}
-	// Metadata first, then slices by timestamp.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-
-	for _, d := range ordered {
-		lk := laneKey{d.Node, d.TraceID}
-		tid, ok := tidOf[lk]
-		if !ok {
-			nextTID[d.Node]++
-			tid = nextTID[d.Node]
-			tidOf[lk] = tid
-			out = append(out, chromeEvent{
-				Name: "thread_name", Phase: "M", PID: pidOf[d.Node], TID: tid,
-				Args: map[string]any{"name": "trace " + shortID(d.TraceID)},
-			})
-		}
-		dur := (d.EndNS - d.StartNS) / 1000
-		if dur <= 0 {
-			dur = 1 // Perfetto drops zero-width slices; keep markers visible
+	var c telemetry.ChromeTrace
+	for _, d := range spans {
+		node := d.Node
+		if node == "" {
+			node = "(unattributed)"
 		}
 		args := map[string]any{
 			"trace_id": d.TraceID,
@@ -176,33 +127,9 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 		if d.Error {
 			args["error"] = true
 		}
-		out = append(out, chromeEvent{
-			Name:  d.Name,
-			Phase: "X",
-			TS:    d.StartNS / 1000,
-			Dur:   dur,
-			PID:   pidOf[d.Node],
-			TID:   tid,
-			Args:  args,
-		})
+		c.Slice(node, "trace "+shortID(d.TraceID), d.Name, d.StartNS/1000, (d.EndNS-d.StartNS)/1000, args)
 	}
-
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
-}
-
-func nodeSet(spans []SpanData) []string {
-	seen := map[string]struct{}{}
-	for _, d := range spans {
-		seen[d.Node] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return c.Encode(w)
 }
 
 func shortID(id string) string {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+
+	"repro/internal/telemetry"
 )
 
 // refCap bounds a span's free-text annotation in the ring. Annotations are
@@ -14,16 +16,14 @@ import (
 // longer ones are truncated, never allocated around.
 const refCap = 48
 
-// spanRecord is one completed span packed pointer-free for the ring: the
-// span name is an index into the recorder's interned name table and the
-// annotation lives in a fixed byte array, so the preallocated ring contains
-// no heap pointers — the GC never scans it (same discipline as the telemetry
-// tracer's record).
+// spanRecord is one completed span packed pointer-free for the
+// telemetry.Ring: the span name is an index into the recorder's name table
+// and the annotation lives in a fixed byte array.
 type spanRecord struct {
 	traceHi, traceLo uint64
 	span, parent     uint64
 	start, end       int64 // unix nanos
-	name             uint8 // index into Recorder.names
+	name             uint8 // Recorder.names index
 	flags            uint8
 	refLen           uint8
 	_                uint8
@@ -37,17 +37,15 @@ const recFlagError = 1 << 0
 // long-lived daemon's recorder never grows.
 const DefaultCap = 1 << 12
 
-// Recorder is a node's span flight recorder: a preallocated ring keeping the
-// newest Cap spans, safe for concurrent recording from every request path.
-// A nil *Recorder drops everything for free.
+// Recorder is a node's span flight recorder: a telemetry.Ring keeping the
+// newest Cap spans behind a mutex, safe for concurrent recording from every
+// request path. A nil *Recorder drops everything for free.
 type Recorder struct {
 	node string
 
 	mu    sync.Mutex
-	recs  []spanRecord
-	head  int // next overwrite position once full
-	total uint64
-	names []string // interned span names (fixed call-site vocabulary)
+	ring  telemetry.Ring[spanRecord]
+	names telemetry.Interner // span names (fixed call-site vocabulary)
 }
 
 // NewRecorder builds a flight recorder identified as node (the identity
@@ -57,30 +55,7 @@ func NewRecorder(node string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCap
 	}
-	return &Recorder{node: node, recs: make([]spanRecord, 0, capacity)}
-}
-
-// Node returns the identity exported spans carry.
-func (r *Recorder) Node() string {
-	if r == nil {
-		return ""
-	}
-	return r.node
-}
-
-// internName returns name's index, appending on first sight. The vocabulary
-// is the fixed set of call sites (~20 names); index 255 absorbs overflow.
-func (r *Recorder) internName(name string) uint8 {
-	for i, v := range r.names {
-		if v == name {
-			return uint8(i)
-		}
-	}
-	if len(r.names) >= 255 {
-		return 255
-	}
-	r.names = append(r.names, name)
-	return uint8(len(r.names) - 1)
+	return &Recorder{node: node, ring: telemetry.NewRing[spanRecord](capacity)}
 }
 
 // record appends one completed span, overwriting the oldest once the ring is
@@ -104,26 +79,9 @@ func (r *Recorder) record(sc SpanContext, parent SpanID, name string, start, end
 	rec.refLen = uint8(n)
 
 	r.mu.Lock()
-	rec.name = r.internName(name)
-	r.total++
-	if len(r.recs) < cap(r.recs) {
-		r.recs = append(r.recs, rec)
-	} else {
-		r.recs[r.head] = rec
-		r.head = (r.head + 1) % len(r.recs)
-	}
+	rec.name = r.names.Index(name)
+	r.ring.Add(rec)
 	r.mu.Unlock()
-}
-
-// Total returns the lifetime number of recorded spans (overwritten ones
-// included). Nil-safe.
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Dropped returns how many spans ring wrap-around has overwritten. Nil-safe.
@@ -133,7 +91,7 @@ func (r *Recorder) Dropped() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total - uint64(len(r.recs))
+	return r.ring.Dropped()
 }
 
 // SpanData is the exported (wire/JSON) form of a recorded span. IDs are hex
@@ -161,22 +119,20 @@ type Filter struct {
 	Limit int
 }
 
-func (r *Recorder) unpack(rec spanRecord) SpanData {
+// data unpacks rec into its exported form; node and names are the recording
+// Recorder's identity and name table.
+func (rec *spanRecord) data(node string, names *telemetry.Interner) SpanData {
 	var t TraceID
 	binary.BigEndian.PutUint64(t[:8], rec.traceHi)
 	binary.BigEndian.PutUint64(t[8:], rec.traceLo)
 	var sp, par SpanID
 	binary.BigEndian.PutUint64(sp[:], rec.span)
 	binary.BigEndian.PutUint64(par[:], rec.parent)
-	name := "?"
-	if int(rec.name) < len(r.names) {
-		name = r.names[rec.name]
-	}
 	d := SpanData{
 		TraceID: t.String(),
 		SpanID:  sp.String(),
-		Name:    name,
-		Node:    r.node,
+		Name:    names.Name(rec.name),
+		Node:    node,
 		StartNS: rec.start,
 		EndNS:   rec.end,
 		Ref:     string(rec.ref[:rec.refLen]),
@@ -195,16 +151,13 @@ func (r *Recorder) Snapshot(f Filter) []SpanData {
 		return nil
 	}
 	r.mu.Lock()
-	recs := make([]spanRecord, 0, len(r.recs))
-	recs = append(recs, r.recs[r.head:]...)
-	recs = append(recs, r.recs[:r.head]...)
-	names := append([]string(nil), r.names...)
+	recs := r.ring.Copy()
+	names := r.names
 	r.mu.Unlock()
 
-	view := &Recorder{node: r.node, names: names}
 	out := make([]SpanData, 0, len(recs))
-	for _, rec := range recs {
-		d := view.unpack(rec)
+	for i := range recs {
+		d := recs[i].data(r.node, &names)
 		if f.Trace != "" && d.TraceID != f.Trace {
 			continue
 		}

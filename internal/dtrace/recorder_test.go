@@ -20,18 +20,20 @@ func fill(r *Recorder, n int) TraceID {
 	return last
 }
 
+// TestRingWraparound: a full recorder keeps its newest spans oldest-first
+// and counts the overwritten ones as dropped.
 func TestRingWraparound(t *testing.T) {
 	r := NewRecorder("n", 8)
 	fill(r, 20)
-	if r.Total() != 20 {
-		t.Fatalf("Total = %d, want 20", r.Total())
-	}
 	if r.Dropped() != 12 {
 		t.Fatalf("Dropped = %d, want 12", r.Dropped())
 	}
 	got := r.Snapshot(Filter{})
 	if len(got) != 8 {
 		t.Fatalf("snapshot holds %d spans, want capacity 8", len(got))
+	}
+	if total := r.Dropped() + uint64(len(got)); total != 20 {
+		t.Fatalf("retained+dropped = %d, want all 20 recorded", total)
 	}
 	// Oldest-first: the survivors are seq-12..seq-19 in order.
 	for i, d := range got {
@@ -105,15 +107,20 @@ func TestRefTruncation(t *testing.T) {
 }
 
 func TestNameTableOverflow(t *testing.T) {
-	r := NewRecorder("n", 4)
-	// Exhaust the 255-entry name table; overflow must degrade, not corrupt.
+	r := NewRecorder("n", 300)
+	// Exhaust the 255-entry name table; overflow must degrade, not corrupt:
+	// the first 255 names survive and every later one reads "?".
 	for i := 0; i < 300; i++ {
 		sp := r.StartSpan(SpanContext{}, "name-"+strconv.Itoa(i))
 		sp.End()
 	}
-	for _, d := range r.Snapshot(Filter{}) {
-		if d.Name == "" {
-			t.Fatal("overflowed name table produced an empty span name")
+	for i, d := range r.Snapshot(Filter{}) {
+		want := "name-" + strconv.Itoa(i)
+		if i >= 255 {
+			want = "?"
+		}
+		if d.Name != want {
+			t.Fatalf("span %d named %q, want %q", i, d.Name, want)
 		}
 	}
 }
@@ -137,8 +144,8 @@ func TestConcurrentRecording(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if r.Total() != 800 {
-		t.Fatalf("Total = %d, want 800", r.Total())
+	if r.Dropped() != 800-128 {
+		t.Fatalf("Dropped = %d, want 672 of 800 spans", r.Dropped())
 	}
 	if got := r.Snapshot(Filter{}); len(got) != 128 {
 		t.Fatalf("snapshot holds %d spans, want 128", len(got))

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
+	"repro/internal/telemetry"
 )
 
 // latWindow is how many recent job latencies back the p50/p99 estimates.
@@ -33,39 +33,37 @@ type metrics struct {
 	pfIssued  atomic.Uint64 // L2-engine prefetches issued across completed sims
 	pfCross4K atomic.Uint64 // ...of which crossed a 4KB page boundary
 
-	latMu sync.Mutex
-	lats  [latWindow]float64 // seconds, ring buffer
-	latN  uint64             // total observations
+	latMu      sync.Mutex
+	jobLatency telemetry.Ring[float64] // recent job latencies, seconds
 
 	// queueWait distributes admission-to-pickup delay: how long jobs sit in
 	// the admission queue before a worker starts them. Under load this is
 	// the histogram that says whether the queue bound or the worker pool is
 	// the bottleneck.
-	queueWait cluster.Histogram
+	queueWait *telemetry.Histogram
 }
 
 func newMetrics() metrics {
-	return metrics{start: time.Now(), queueWait: cluster.NewLatencyHistogram()}
+	return metrics{
+		start:      time.Now(),
+		jobLatency: telemetry.NewRing[float64](latWindow),
+		queueWait:  telemetry.NewDurationHistogram(),
+	}
 }
 
 // observeLatency records one finished job's wall-clock duration.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.latMu.Lock()
-	m.lats[m.latN%latWindow] = d.Seconds()
-	m.latN++
+	m.jobLatency.Add(d.Seconds())
 	m.latMu.Unlock()
 }
 
 // quantiles estimates job-latency quantiles over the recent window.
 func (m *metrics) quantiles(qs ...float64) []float64 {
 	m.latMu.Lock()
-	n := int(m.latN)
-	if n > latWindow {
-		n = latWindow
-	}
-	window := make([]float64, n)
-	copy(window, m.lats[:n])
+	window := m.jobLatency.Copy()
 	m.latMu.Unlock()
+	n := len(window)
 	out := make([]float64, len(qs))
 	if n == 0 {
 		return out
@@ -140,7 +138,7 @@ func (s *Server) writeMetrics(w io.Writer) {
 	}
 	gauge("psimd_sims_per_second", "Executed simulations per second of uptime.", fmt.Sprintf("%.3f", rate))
 
-	m.queueWait.Write(w, "psimd_queue_wait_seconds",
+	m.queueWait.WritePrometheus(w, "psimd_queue_wait_seconds",
 		"Seconds between job admission and worker pickup.")
 
 	q := m.quantiles(0.5, 0.99)

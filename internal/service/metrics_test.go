@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"strconv"
@@ -40,7 +41,9 @@ func telemetryFixture() sim.Result {
 // family is announced with HELP and TYPE lines before its samples, every
 // sample belongs to the family most recently announced (histogram families
 // accept the _bucket/_sum/_count sample suffixes, with le required on
-// _bucket), and every value parses as a float. It returns the families in
+// _bucket), and every value parses as a float. A histogram's buckets must be
+// cumulative: le strictly ascending, counts non-decreasing, ending in a
+// le="+Inf" bucket that equals _count. It returns the families in
 // announcement order and each family's sample count.
 func validateExposition(t *testing.T, body string) ([]string, map[string]int) {
 	t.Helper()
@@ -54,6 +57,11 @@ func validateExposition(t *testing.T, body string) ([]string, map[string]int) {
 	current := ""     // family announced by the latest TYPE line
 	currentType := "" // its declared type
 	helped := ""      // family announced by the latest HELP line
+	// The current histogram's last bucket: its le bound and cumulative count,
+	// and whether it was the +Inf bucket.
+	var lastLE, lastBucket float64
+	sawInf := false
+	leRe := regexp.MustCompile(`le="([^"]*)"`)
 	sc := bufio.NewScanner(strings.NewReader(body))
 	for line := 1; sc.Scan(); line++ {
 		text := sc.Text()
@@ -79,6 +87,7 @@ func validateExposition(t *testing.T, body string) ([]string, map[string]int) {
 			}
 			current, currentType = m[1], m[2]
 			seen[current] = 0
+			lastLE, lastBucket, sawInf = math.Inf(-1), 0, false
 			families = append(families, current)
 		case strings.HasPrefix(text, "#"):
 			t.Errorf("line %d: unexpected comment %q", line, text)
@@ -88,15 +97,33 @@ func validateExposition(t *testing.T, body string) ([]string, map[string]int) {
 				t.Fatalf("line %d: malformed sample: %q", line, text)
 			}
 			name := m[1]
+			value, _ := strconv.ParseFloat(m[4], 64)
 			if currentType == "histogram" {
 				// A histogram family's samples carry suffixed names.
 				switch name {
-				case current + "_sum", current + "_count":
+				case current + "_sum":
+					name = current
+				case current + "_count":
+					if !sawInf || value != lastBucket {
+						t.Errorf("line %d: %s = %v, want the le=\"+Inf\" bucket (%v, seen %v)", line, m[1], value, lastBucket, sawInf)
+					}
 					name = current
 				case current + "_bucket":
-					if !strings.Contains(m[2], `le="`) {
+					le := leRe.FindStringSubmatch(m[2])
+					if le == nil {
 						t.Errorf("line %d: histogram bucket without le label: %q", line, text)
+						break
 					}
+					bound, err := strconv.ParseFloat(le[1], 64)
+					switch {
+					case err != nil:
+						t.Errorf("line %d: le %q is not a float: %v", line, le[1], err)
+					case sawInf || bound <= lastLE:
+						t.Errorf("line %d: le %q does not ascend past %v", line, le[1], lastLE)
+					case value < lastBucket:
+						t.Errorf("line %d: bucket le=%q count %v falls below the previous bucket's %v", line, le[1], value, lastBucket)
+					}
+					lastLE, lastBucket, sawInf = bound, value, math.IsInf(bound, 1)
 					name = current
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/tracecheck"
 )
 
 func instrumentedRun(t *testing.T, ins *Instrumentation, spec PrefSpec, name string, opt RunOpt) Result {
@@ -167,6 +168,35 @@ func TestTracerAttribution(t *testing.T) {
 	}
 	if sized2m == 0 {
 		t.Error("no 2MB-attributed events on a 2MB-heavy workload")
+	}
+
+	// The same ring must render as a loadable Chrome trace: one process per
+	// core, one thread per cache level, and every retained event on it.
+	var buf bytes.Buffer
+	if err := ins.Tracer.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var rendered int
+	threads := map[string]bool{}
+	for _, e := range tracecheck.ValidateChromeTrace(t, buf.Bytes()) {
+		switch {
+		case e["ph"] != "M":
+			rendered++
+		case e["name"] == "thread_name":
+			threads[e["args"].(map[string]any)["name"].(string)] = true
+		case e["args"].(map[string]any)["name"] != "core 0":
+			t.Errorf("process row %v, want only core 0", e)
+		}
+	}
+	if rendered != len(events) {
+		t.Errorf("chrome trace has %d events, want the ring's %d", rendered, len(events))
+	}
+	levels := map[string]bool{}
+	for _, e := range events {
+		levels[e.Level] = true
+	}
+	if !reflect.DeepEqual(threads, levels) {
+		t.Errorf("thread rows %v, want one per traced level %v", threads, levels)
 	}
 }
 

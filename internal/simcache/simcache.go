@@ -309,6 +309,15 @@ func (s *Store) DoContext(ctx context.Context, key string, fn func(context.Conte
 		s.inflight[key] = c
 		s.mu.Unlock()
 
+		// A flight that ended between the Get above and taking mu stored
+		// its result before leaving inflight, so look once more before
+		// recomputing it.
+		if res, ok := s.Get(key); ok {
+			c.res = res
+			s.hits.Add(1)
+			s.land(key, c)
+			return res, true, nil
+		}
 		c.res, c.err = fn(ctx)
 		s.misses.Add(1)
 		if c.err == nil {
@@ -316,12 +325,17 @@ func (s *Store) DoContext(ctx context.Context, key string, fn func(context.Conte
 			// operation; the computed result is still good.
 			_ = s.Put(key, c.res)
 		}
-		s.mu.Lock()
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		close(c.done)
+		s.land(key, c)
 		return c.res, false, c.err
 	}
+}
+
+// land ends the flight c for key and releases its waiters.
+func (s *Store) land(key string, c *call) {
+	s.mu.Lock()
+	delete(s.inflight, key)
+	s.mu.Unlock()
+	close(c.done)
 }
 
 // Len reports how many entries the store currently holds on disk.

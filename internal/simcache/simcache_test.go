@@ -269,6 +269,43 @@ func TestDoSingleFlight(t *testing.T) {
 	}
 }
 
+// TestDoAfterFlightLandsIsHit: a Do whose disk lookup misses just before
+// another flight for the key stores its result and leaves must not run the
+// simulation again. The test holds mu so the Do waits at the inflight check,
+// then stores the entry as a landing flight would.
+func TestDoAfterFlightLandsIsHit(t *testing.T) {
+	s, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executions atomic.Int64
+	s.mu.Lock()
+	done := make(chan bool)
+	go func() {
+		_, hit, _ := s.Do("k", func() (sim.Result, error) {
+			executions.Add(1)
+			return sampleResult(), nil
+		})
+		done <- hit
+	}()
+	// Give the Do time to miss on disk and block on mu.
+	time.Sleep(50 * time.Millisecond)
+	if err := s.Put("k", sampleResult()); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	s.mu.Unlock()
+	if hit := <-done; !hit {
+		t.Error("Do after the flight landed reported a miss")
+	}
+	if n := executions.Load(); n != 0 {
+		t.Errorf("executions = %d, want 0", n)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.Hits != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
 func TestDoErrorNotCached(t *testing.T) {
 	s, err := New(t.TempDir())
 	if err != nil {

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"strconv"
 )
 
 // EventKind is a prefetch lifecycle transition.
@@ -68,13 +68,12 @@ type jsonEvent struct {
 }
 
 // record is an Event packed pointer-free for the ring: the Level and
-// PageSize strings are interned into small per-tracer tables and stored as
-// indices, so the preallocated ring contains no heap pointers — the GC never
-// scans it and allocating it is a plain memclr.
+// PageSize strings are interned into the tracer's name table and stored as
+// indices.
 type record struct {
 	kind     EventKind
-	level    uint8 // index into Tracer.levels
-	pageSize uint8 // 1+index into Tracer.pageSizes; 0 = unknown
+	level    uint8 // Tracer.names index
+	pageSize uint8 // Tracer.names index ("" when unknown)
 	flags    uint8
 	prefID   uint8
 	core     uint8
@@ -89,20 +88,16 @@ const (
 	flagLate
 )
 
-// Tracer records lifecycle events into a preallocated ring: recording is a
-// bounds check and a pointer-free struct store, no allocation, so tracing
-// large runs keeps the newest Cap events instead of growing without bound.
-// A nil Tracer drops events for free, which is the telemetry-off fast path.
+// Tracer records lifecycle events into a Ring: recording is a pointer-free
+// struct store, no allocation, so tracing large runs keeps the newest Cap
+// events instead of growing without bound. A nil Tracer drops events for
+// free, which is the telemetry-off fast path.
 //
 // Tracer is not safe for concurrent Record calls; each simulation owns its
 // tracer and exports after the run.
 type Tracer struct {
-	records []record
-	head    int    // next write position
-	total   uint64 // lifetime records
-
-	levels    []string // interned Event.Level values
-	pageSizes []string // interned Event.PageSize values
+	ring  Ring[record]
+	names Interner // Event.Level and Event.PageSize values
 }
 
 // DefaultTraceCap is the default event-ring capacity (~3MB of records).
@@ -114,25 +109,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCap
 	}
-	return &Tracer{records: make([]record, 0, capacity)}
-}
-
-// intern returns s's index in table, appending on first sight. Tables hold
-// a handful of distinct values (cache names, page sizes); the linear scan's
-// first comparison is almost always an identical string header from the
-// same call site. Index 255 absorbs any further values once a table is
-// full, which cannot happen with the simulator's fixed name sets.
-func intern(table *[]string, s string) uint8 {
-	for i, v := range *table {
-		if v == s {
-			return uint8(i)
-		}
-	}
-	if len(*table) >= 255 {
-		return 255
-	}
-	*table = append(*table, s)
-	return uint8(len(*table) - 1)
+	return &Tracer{ring: NewRing[record](capacity)}
 }
 
 // Record appends an event, overwriting the oldest once the ring is full.
@@ -141,19 +118,16 @@ func (t *Tracer) Record(e Event) {
 	if t == nil {
 		return
 	}
-	t.total++
 	r := record{
-		kind:   e.Kind,
-		level:  intern(&t.levels, e.Level),
-		prefID: e.PrefID,
-		core:   e.Core,
-		block:  e.Block,
-		pc:     e.PC,
-		issue:  e.Issue,
-		at:     e.At,
-	}
-	if e.PageSize != "" {
-		r.pageSize = intern(&t.pageSizes, e.PageSize) + 1
+		kind:     e.Kind,
+		level:    t.names.Index(e.Level),
+		pageSize: t.names.Index(e.PageSize),
+		prefID:   e.PrefID,
+		core:     e.Core,
+		block:    e.Block,
+		pc:       e.PC,
+		issue:    e.Issue,
+		at:       e.At,
 	}
 	if e.CrossedPage {
 		r.flags |= flagCrossed
@@ -161,12 +135,7 @@ func (t *Tracer) Record(e Event) {
 	if e.Late {
 		r.flags |= flagLate
 	}
-	if len(t.records) < cap(t.records) {
-		t.records = append(t.records, r)
-		return
-	}
-	t.records[t.head] = r
-	t.head = (t.head + 1) % len(t.records)
+	t.ring.Add(r)
 }
 
 // Total returns the lifetime number of records (including overwritten
@@ -175,35 +144,24 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return t.ring.Total()
+}
+
+// Len returns how many events the ring retains. Nil-safe.
+func (t *Tracer) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.ring.Len()
 }
 
 // Dropped returns how many events were overwritten by ring wrap-around.
+// Nil-safe.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total - uint64(len(t.records))
-}
-
-// unpack reconstructs the exported event form of a ring record.
-func (t *Tracer) unpack(r record) Event {
-	e := Event{
-		Kind:        r.kind,
-		Level:       t.levels[r.level],
-		Block:       r.block,
-		PC:          r.pc,
-		Issue:       r.issue,
-		At:          r.at,
-		CrossedPage: r.flags&flagCrossed != 0,
-		Late:        r.flags&flagLate != 0,
-		PrefID:      r.prefID,
-		Core:        r.core,
-	}
-	if r.pageSize > 0 {
-		e.PageSize = t.pageSizes[r.pageSize-1]
-	}
-	return e
+	return t.ring.Dropped()
 }
 
 // Events returns the retained events oldest-first. Nil-safe.
@@ -211,12 +169,22 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(t.records))
-	for _, r := range t.records[t.head:] {
-		out = append(out, t.unpack(r))
-	}
-	for _, r := range t.records[:t.head] {
-		out = append(out, t.unpack(r))
+	recs := t.ring.Copy()
+	out := make([]Event, len(recs))
+	for i, r := range recs {
+		out[i] = Event{
+			Kind:        r.kind,
+			Level:       t.names.Name(r.level),
+			Block:       r.block,
+			PC:          r.pc,
+			Issue:       r.issue,
+			At:          r.at,
+			PageSize:    t.names.Name(r.pageSize),
+			CrossedPage: r.flags&flagCrossed != 0,
+			Late:        r.flags&flagLate != 0,
+			PrefID:      r.prefID,
+			Core:        r.core,
+		}
 	}
 	return out
 }
@@ -232,57 +200,30 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return nil
 }
 
-// chromeEvent is one trace_event record; see the Chrome Trace Event Format.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Phase string         `json:"ph"`
-	TS    int64          `json:"ts"`
-	Dur   int64          `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   string         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace writes the retained events in Chrome trace_event JSON
-// (the array form chrome://tracing and Perfetto load directly). Fill events
-// become complete ("X") slices spanning issue→fill; uses, evicts, and drops
-// become instant ("i") events. Timestamps are simulated cycles presented as
-// microseconds, emitted in non-decreasing order.
+// WriteChromeTrace writes the retained events in Chrome trace_event JSON.
+// Each core is a process ("core N") and each cache level a thread within
+// it. Fill events become complete slices spanning issue→fill; uses, evicts,
+// and drops become instants. Timestamps are simulated cycles presented as
+// microseconds.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	events := t.Events()
-	out := make([]chromeEvent, 0, len(events))
-	for _, e := range events {
-		ce := chromeEvent{
-			PID: int(e.Core),
-			TID: e.Level,
-			Args: map[string]any{
-				"block":     fmt.Sprintf("%#x", e.Block),
-				"page_size": e.PageSize,
-			},
+	var c ChromeTrace
+	for _, e := range t.Events() {
+		core := "core " + strconv.Itoa(int(e.Core))
+		args := map[string]any{
+			"block":     fmt.Sprintf("%#x", e.Block),
+			"page_size": e.PageSize,
 		}
 		if e.CrossedPage {
-			ce.Args["crossed_4k"] = true
+			args["crossed_4k"] = true
 		}
-		switch e.Kind {
-		case EvFill:
-			ce.Name = "prefetch"
-			ce.Phase = "X"
-			ce.TS = e.Issue
-			ce.Dur = e.At - e.Issue
+		switch {
+		case e.Kind == EvFill:
+			c.Slice(core, e.Level, "prefetch", e.Issue, e.At-e.Issue, args)
+		case e.Kind == EvUse && e.Late:
+			c.Instant(core, e.Level, "use (late)", e.At, args)
 		default:
-			ce.Name = e.Kind.String()
-			ce.Phase = "i"
-			ce.TS = e.At
-			ce.Scope = "t"
-			if e.Kind == EvUse && e.Late {
-				ce.Name = "use (late)"
-			}
+			c.Instant(core, e.Level, e.Kind.String(), e.At, args)
 		}
-		out = append(out, ce)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(out)
+	return c.Encode(w)
 }

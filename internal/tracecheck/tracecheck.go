@@ -1,7 +1,8 @@
 // Package tracecheck validates Chrome trace_event JSON structurally — the
-// invariants Perfetto and chrome://tracing loading depend on — so every
-// exporter in the repo (the telemetry lifecycle tracer, the dtrace span
-// stitcher) is held to one definition of "loadable".
+// invariants Perfetto and chrome://tracing loading depend on. The repo has
+// one trace_event writer, telemetry.ChromeTrace; its two users (the
+// prefetch lifecycle tracer and the dtrace span stitcher) are both checked
+// here against one definition of "loadable".
 package tracecheck
 
 import (
